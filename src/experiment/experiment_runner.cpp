@@ -1,6 +1,5 @@
 #include "experiment/experiment_runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -30,20 +29,19 @@ using Clock = std::chrono::steady_clock;
 /// writes (bench / schema_version / threads / wall_seconds / throughput /
 /// metrics) so tools/compare_bench_json.py consumes both alike.
 void write_cell_json(const std::string& path, const std::string& bench,
-                     const CellRunRecord& record, unsigned threads) {
+                     const CellOutcome& outcome, double wall_seconds,
+                     unsigned threads) {
   JsonObject root;
   root.set("bench", bench);
   root.set("schema_version", std::int64_t{1});
   root.set("threads", static_cast<std::int64_t>(threads));
-  root.set("wall_seconds", record.wall_seconds);
-  if (record.outcome.sessions > 0) {
-    root.set("sessions", record.outcome.sessions);
+  root.set("wall_seconds", wall_seconds);
+  if (outcome.sessions > 0) {
+    root.set("sessions", outcome.sessions);
     root.set("sessions_per_second",
-             record.wall_seconds > 0
-                 ? record.outcome.sessions / record.wall_seconds
-                 : 0.0);
+             wall_seconds > 0 ? outcome.sessions / wall_seconds : 0.0);
   }
-  root.set("metrics", record.outcome.metrics);
+  root.set("metrics", outcome.metrics);
   std::ofstream out(path);
   out << root.render() << "\n";
   if (!out.good()) {
@@ -82,48 +80,35 @@ ExperimentRunResult run_experiment(const ExperimentSpec& spec,
   const std::vector<ExperimentCell> cells = spec.cells();
   std::filesystem::create_directories(config.out_dir);
 
-  // Split the thread budget: up to `outer` cells in flight, each running
-  // its inner stages with the leftover share. The split affects only
-  // wall time — every subsystem is bit-identical at any thread count, so
-  // per-cell results do not depend on it.
+  // One shared plan for every cell (cell_runner.h). Each cell's file and
+  // progress line land as soon as the cell is priced.
   const unsigned total = resolve_threads(config.threads);
-  const unsigned outer = static_cast<unsigned>(
-      std::min<std::size_t>(total, cells.size()));
-  const unsigned inner = std::max(1u, total / outer);
-
-  std::mutex progress_mutex;
+  std::vector<CellConfig> configs;
+  configs.reserve(cells.size());
+  for (const ExperimentCell& cell : cells) configs.push_back(cell.config);
   ExperimentRunResult run;
-  run.cells = parallel_chunked_reduce_stateful(
-      cells.size(), outer,
-      /*make_state=*/[] { return 0; },
-      /*make_acc=*/[] { return std::vector<CellRunRecord>{}; },
-      /*chunk_fn=*/
-      [&](int&, std::vector<CellRunRecord>& acc, std::size_t begin,
-          std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto cell_start = Clock::now();
-          CellRunRecord record;
-          record.cell = cells[i];
-          record.outcome = run_cell(cells[i].config, inner);
-          record.wall_seconds = seconds_since(cell_start);
-          record.file = "BENCH_" + bench_name(spec, cells[i]) + ".json";
-          write_cell_json(
-              (std::filesystem::path(config.out_dir) / record.file).string(),
-              bench_name(spec, cells[i]), record, inner);
-          if (progress != nullptr) {
-            const std::lock_guard<std::mutex> lock(progress_mutex);
-            *progress << "  [" << cells[i].index + 1 << "/" << cells.size()
-                      << "] " << cells[i].slug << "  ("
-                      << json_number(record.wall_seconds) << " s)\n";
-          }
-          acc.push_back(std::move(record));
+  run.cells.resize(cells.size());
+  std::mutex progress_mutex;
+  CellPlanRun plan = run_cell_plan(
+      configs, total,
+      [&](std::size_t i, const CellOutcome& outcome, double seconds) {
+        CellRunRecord& record = run.cells[i];
+        record.cell = cells[i];
+        record.wall_seconds = seconds;
+        record.file = "BENCH_" + bench_name(spec, cells[i]) + ".json";
+        write_cell_json(
+            (std::filesystem::path(config.out_dir) / record.file).string(),
+            bench_name(spec, cells[i]), outcome, seconds, total);
+        if (progress != nullptr) {
+          const std::lock_guard<std::mutex> lock(progress_mutex);
+          *progress << "  [" << cells[i].index + 1 << "/" << cells.size()
+                    << "] " << cells[i].slug << "  ("
+                    << json_number(seconds) << " s)\n";
         }
-      },
-      /*merge=*/
-      [](std::vector<CellRunRecord>& into, std::vector<CellRunRecord>& from) {
-        for (auto& record : from) into.push_back(std::move(record));
-      },
-      /*chunk_len=*/1);
+      });
+  for (std::size_t i = 0; i < run.cells.size(); ++i) {
+    run.cells[i].outcome = std::move(plan.outcomes[i]);
+  }
   run.wall_seconds = seconds_since(run_start);
 
   // The manifest: one BENCH_<spec>.json naming every cell file, itself
@@ -154,6 +139,9 @@ ExperimentRunResult run_experiment(const ExperimentSpec& spec,
   JsonObject metrics;
   metrics.set("cells", static_cast<std::int64_t>(run.cells.size()));
   metrics.set("axes", static_cast<std::int64_t>(spec.axes().size()));
+  metrics.set("traces_generated",
+              static_cast<std::int64_t>(plan.traces_generated));
+  metrics.set("simulations", static_cast<std::int64_t>(plan.simulations));
   manifest.set("metrics", metrics);
 
   run.manifest_path =

@@ -1,12 +1,16 @@
-// experiment_runner.h — executes an ExperimentSpec's cells in parallel.
+// experiment_runner.h — executes an ExperimentSpec's cells as one shared
+// plan.
 //
-// Cells are independent (each generates its own trace and composes its
-// own subsystems — see cell_runner.h), so the runner fans them out over
-// util/parallel.h's work-stealing reduction with one cell per chunk and
-// merges the records in ascending cell order: the manifest and every
-// per-cell file are byte-identical for any worker count. Each cell
-// writes BENCH_<spec>_<slug>.json in the bench_json.h shape, and the run
-// finishes with a BENCH_<spec>.json manifest naming every cell file.
+// The runner hands every expanded cell to cell_runner.h's plan, which
+// generates each distinct trace once, simulates each distinct run once
+// and prices every cell from the shared results, spending the thread
+// budget on whichever tasks are runnable. Per-cell results do not depend
+// on the worker count or on which cells share work, so the manifest and
+// every per-cell file are byte-identical for any --threads (timing keys
+// aside). Each cell writes BENCH_<spec>_<slug>.json in the bench_json.h
+// shape as soon as it is priced, and the run finishes with a
+// BENCH_<spec>.json manifest naming every cell file and counting the
+// traces generated and simulations run.
 #pragma once
 
 #include <iosfwd>
@@ -20,8 +24,8 @@ namespace cl {
 
 struct ExperimentRunConfig {
   std::string out_dir = ".";  ///< created if missing
-  /// Worker threads (0 = all cores): up to this many cells run at once,
-  /// and each cell's inner stages share the remaining parallelism.
+  /// Worker threads (0 = all cores), shared by every runnable task of
+  /// the plan.
   unsigned threads = 0;
 };
 
@@ -30,6 +34,7 @@ struct CellRunRecord {
   ExperimentCell cell;
   CellOutcome outcome;
   std::string file;  ///< BENCH file name (relative to out_dir)
+  /// The cell's share of the plan's task time (CellPlanRun::seconds).
   double wall_seconds = 0;
 };
 
@@ -44,7 +49,8 @@ struct ExperimentRunResult {
 void print_matrix(std::ostream& out, const ExperimentSpec& spec);
 
 /// Runs every cell and writes the per-cell files plus the manifest.
-/// `progress` (optional) receives one line per finished cell.
+/// `progress` (optional) receives one line per finished cell, in
+/// completion order.
 [[nodiscard]] ExperimentRunResult run_experiment(
     const ExperimentSpec& spec, const ExperimentRunConfig& config,
     std::ostream* progress = nullptr);

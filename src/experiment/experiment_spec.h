@@ -8,8 +8,8 @@
 // every cell). The matrix expander crosses the axes into one
 // ExperimentCell per point, applies axis-subset pinning and explicit
 // cell exclusions, and the runner (experiment_runner.h) executes the
-// cells in parallel — per-cell results bit-identical to a standalone
-// `cl simulate` with the same flags.
+// cells as one shared plan — per-cell results bit-identical to a
+// standalone `cl simulate` with the same flags.
 //
 // Spec schema (DESIGN.md §13, docs/CLI.md "cl experiment"):
 //
