@@ -84,6 +84,15 @@ PreloadConfig CarbonScheduler::trough_window() const {
   return window;
 }
 
+TraceView CarbonScheduler::schedule_preload(const TraceView& trace,
+                                            std::uint64_t seed,
+                                            unsigned threads) const {
+  // Flat no-op contract: no signal, no shift — the same view, so
+  // downstream results match the unscheduled run exactly.
+  if (inert()) return trace;
+  return apply_preload(trace, trough_window(), seed, threads);
+}
+
 Trace CarbonScheduler::schedule_preload(const Trace& trace,
                                         std::uint64_t seed) const {
   // Flat no-op contract: no signal, no shift — the returned copy carries

@@ -8,7 +8,8 @@
 //      grid itself: the contiguous window of the configured width with
 //      the lowest mean gCO₂/kWh (the overnight wind lull on uk_2018,
 //      the solar trough on us_caiso). The trace transform is the
-//      existing apply_preload (ext/preload.h) — only the window moves.
+//      existing apply_preload (ext/preload.h), on columns — only the
+//      window moves.
 //
 //  (b) cross-metro green routing — per hour, choose the metro whose
 //      grid can serve the traffic most cleanly, subject to a bounded
@@ -38,6 +39,7 @@
 #include "energy/accounting.h"
 #include "ext/preload.h"
 #include "trace/session.h"
+#include "trace/trace_view.h"
 
 namespace cl {
 
@@ -129,9 +131,15 @@ class CarbonScheduler {
   /// start; a flat curve yields [0, width).
   [[nodiscard]] PreloadConfig trough_window() const;
 
-  /// (a) The trough-seeking preload transform: apply_preload into
-  /// trough_window(). Inert (flat) schedulers return the trace unchanged.
-  /// Deterministic in `seed`.
+  /// (a) The trough-seeking preload transform: the column transform
+  /// apply_preload into trough_window(). Inert (flat) schedulers return
+  /// the view unchanged. Deterministic in `seed`, independent of
+  /// `threads`.
+  [[nodiscard]] TraceView schedule_preload(const TraceView& trace,
+                                           std::uint64_t seed,
+                                           unsigned threads = 1) const;
+
+  /// Row adapter of the above: the same sessions as a Trace.
   [[nodiscard]] Trace schedule_preload(const Trace& trace,
                                        std::uint64_t seed) const;
 

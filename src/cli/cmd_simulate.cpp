@@ -28,19 +28,10 @@ int cmd_simulate(const Args& args) {
   using Clock = std::chrono::steady_clock;
 
   // `.cltrace` input maps zero-copy — the simulator consumes the file's
-  // column blocks directly, so "load" is just mmap + column validation.
-  // The one exception: a preload schedule transforms session rows, so
-  // that path loads rows and transposes once (the transform's input
-  // rows stay alive alongside the view).
+  // column blocks directly, so "load" is just mmap + column validation,
+  // on every schedule mode: the preload schedule transforms columns too.
   const auto load_start = Clock::now();
-  Trace rows;
-  TraceView view;
-  if (schedule_preloads(schedule)) {
-    rows = load_or_generate(args);
-    view = TraceView::from_trace(rows, threads_from(args));
-  } else {
-    view = load_view_or_generate(args);
-  }
+  const TraceView view = load_view_or_generate(args);
   const double load_seconds =
       std::chrono::duration<double>(Clock::now() - load_start).count();
 
@@ -100,11 +91,12 @@ int cmd_simulate(const Args& args) {
     SimResult preloaded_result;
     const SimResult* scheduled = &result;
     if (schedule_preloads(schedule) && !scheduler.inert()) {
-      const Trace shifted =
-          scheduler.schedule_preload(rows, seed_from(args, TraceConfig{}.seed));
       preloaded_result =
           HybridSimulator(metro, config)
-              .run(TraceView::from_trace(shifted, config.threads), nullptr);
+              .run(scheduler.schedule_preload(
+                       view, seed_from(args, TraceConfig{}.seed),
+                       config.threads),
+                   nullptr);
       scheduled = &preloaded_result;
     }
     const std::size_t home = metro_registry_index(metro.name());

@@ -384,12 +384,12 @@ class CellPlanner {
       release(trace);
       return;
     }
-    const Trace shifted =
+    const TraceView shifted =
         CarbonScheduler(*run.preload_curve, ScheduleConfig{})
-            .schedule_preload(trace.rows, config.seed);
+            .schedule_preload(TraceView::from_trace(trace.rows, threads),
+                              config.seed, threads);
     release(trace);
-    run.result =
-        simulator.run(TraceView::from_trace(shifted, threads), nullptr);
+    run.result = simulator.run(shifted, nullptr);
   }
 
   /// Stage 3: cell i's metrics from the shared results, in the order and

@@ -2,51 +2,193 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace cl {
 
-Trace apply_preload(const Trace& trace, const PreloadConfig& config,
-                    std::uint64_t seed) {
+namespace {
+
+/// The output order as a permutation of input positions: ascending
+/// (start, content, user), then input position, where `start` is the
+/// placed start. A counting sort on a start bucket — monotone in start,
+/// so buckets come out in start order — then a sort of each (small)
+/// bucket by the full key.
+std::vector<std::uint32_t> preload_order(
+    const std::vector<double>& start, std::span<const std::uint32_t> content,
+    std::span<const std::uint32_t> user, unsigned threads) {
+  const std::size_t n = start.size();
+  double low = std::numeric_limits<double>::infinity();
+  double high = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Also keeps NaN and infinities out of the bucket arithmetic.
+    if (!(start[i] >= 0) || !std::isfinite(start[i])) {
+      throw InvalidArgument("apply_preload: session " + std::to_string(i) +
+                            " has a start outside [0, inf)");
+    }
+    low = std::min(low, start[i]);
+    high = std::max(high, start[i]);
+  }
+  const std::size_t buckets = std::max<std::size_t>(1, n / 2);
+  // Not finite when every start is (nearly) equal: one bucket then.
+  const double scale = static_cast<double>(buckets) / (high - low);
+  const auto bucket_of = [&](std::size_t i) -> std::size_t {
+    if (!std::isfinite(scale)) return 0;
+    return std::min(buckets - 1,
+                    static_cast<std::size_t>((start[i] - low) * scale));
+  };
+  std::vector<std::uint32_t> bucket_begin(buckets + 1);
+  for (std::size_t i = 0; i < n; ++i) ++bucket_begin[bucket_of(i) + 1];
+  for (std::size_t b = 0; b < buckets; ++b) {
+    bucket_begin[b + 1] += bucket_begin[b];
+  }
+  std::vector<std::uint32_t> order(n);
+  std::vector<std::uint32_t> cursor(bucket_begin.begin(),
+                                    bucket_begin.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[cursor[bucket_of(i)]++] = static_cast<std::uint32_t>(i);
+  }
+
+  const auto before = [&](std::uint32_t a, std::uint32_t b) {
+    if (start[a] != start[b]) return start[a] < start[b];
+    if (content[a] != content[b]) return content[a] < content[b];
+    if (user[a] != user[b]) return user[a] < user[b];
+    return a < b;
+  };
+  parallel_shards(buckets, threads, [&](unsigned, std::size_t begin,
+                                        std::size_t end) {
+    for (std::size_t b = begin; b < end; ++b) {
+      if (bucket_begin[b + 1] - bucket_begin[b] > 1) {
+        std::sort(order.begin() + bucket_begin[b],
+                  order.begin() + bucket_begin[b + 1], before);
+      }
+    }
+  });
+  return order;
+}
+
+/// The swarm index of the output. Preload moves starts, never swarm
+/// keys, so the groups carry over as they are; each group's order — its
+/// sessions' new positions, ascending — comes from one counting pass
+/// over the output. `perm[j]` is the input position of output session j.
+void carry_index(const TraceView& trace,
+                 const std::vector<std::uint32_t>& perm, TraceColumns& out,
+                 unsigned threads) {
+  const std::span<const SwarmIndexGroup> groups = trace.groups();
+  const std::span<const std::uint32_t> order = trace.order();
+  std::vector<std::uint32_t> group_of(perm.size());
+  parallel_shards(groups.size(), threads, [&](unsigned, std::size_t begin,
+                                              std::size_t end) {
+    for (std::size_t g = begin; g < end; ++g) {
+      for (std::uint64_t k = groups[g].begin;
+           k < groups[g].begin + groups[g].count; ++k) {
+        group_of[order[k]] = static_cast<std::uint32_t>(g);
+      }
+    }
+  });
+  out.groups.assign(groups.begin(), groups.end());
+  out.order.resize(perm.size());
+  std::vector<std::uint64_t> cursor(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    cursor[g] = groups[g].begin;
+  }
+  for (std::size_t j = 0; j < perm.size(); ++j) {
+    out.order[cursor[group_of[perm[j]]]++] = static_cast<std::uint32_t>(j);
+  }
+}
+
+}  // namespace
+
+TraceView apply_preload(const TraceView& trace, const PreloadConfig& config,
+                        std::uint64_t seed, unsigned threads) {
   CL_EXPECTS(config.adoption >= 0 && config.adoption <= 1);
   CL_EXPECTS(config.window_start_hour >= 0);
   CL_EXPECTS(config.window_end_hour > config.window_start_hour);
   CL_EXPECTS(config.window_end_hour <= 24);
+  const std::size_t n = trace.size();
+  CL_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max());
+  const std::span<const double> start = trace.start();
+  const double span_s = trace.span().value();
 
+  // Placement. The draw sequence is the contract — one bernoulli per
+  // session and one uniform per adopter, in session order — so this pass
+  // is sequential. On a partial final day the window can fall past the
+  // end of the span; piling those sessions onto span_s − 1 would distort
+  // the final-day swarm sizes, so they stay where they were. Their draws
+  // happen either way, keeping every other placement independent of the
+  // span.
   Rng rng(seed ^ 0x9d39247e33776d41ULL);
-  Trace out;
-  out.span = trace.span;
-  out.metro_name = trace.metro_name;
-  out.sessions.reserve(trace.sessions.size());
-  const double span_s = trace.span.value();
-  for (SessionRecord s : trace.sessions) {
+  std::vector<double> placed(n);
+  std::vector<std::uint8_t> moved(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    placed[i] = start[i];
     if (rng.bernoulli(config.adoption)) {
-      const double day = std::floor(s.start / 86400.0);
+      const double day = std::floor(start[i] / 86400.0);
       const double hour = rng.uniform(config.window_start_hour,
                                       config.window_end_hour);
       const double target = day * 86400.0 + hour * 3600.0;
-      // On a partial final day the window can fall past the end of the
-      // span; piling those sessions onto span_s − 1 would distort the
-      // final-day swarm sizes, so they stay where they were. The rng
-      // draws above happen either way, keeping every other session's
-      // placement independent of the span.
       if (target < span_s) {
-        s.start = target;
-        if (s.end() > span_s) s.duration = span_s - s.start;
+        placed[i] = target;
+        moved[i] = 1;
       }
     }
-    out.sessions.push_back(s);
   }
-  std::sort(out.sessions.begin(), out.sessions.end(),
-            [](const SessionRecord& a, const SessionRecord& b) {
-              if (a.start != b.start) return a.start < b.start;
-              if (a.content != b.content) return a.content < b.content;
-              return a.user < b.user;
-            });
-  out.validate();
-  return out;
+  const std::vector<std::uint32_t> perm =
+      preload_order(placed, trace.content(), trace.user(), threads);
+
+  // Gather the columns in output order. A moved session ending past the
+  // span is clipped there.
+  const std::span<const std::uint32_t> user = trace.user();
+  const std::span<const std::uint32_t> household = trace.household();
+  const std::span<const std::uint32_t> content = trace.content();
+  const std::span<const std::uint32_t> isp = trace.isp();
+  const std::span<const std::uint32_t> exp = trace.exp();
+  const std::span<const std::uint8_t> bitrate = trace.bitrate();
+  const std::span<const double> duration = trace.duration();
+  TraceColumns out;
+  out.resize(n);
+  out.span = trace.span();
+  out.metro_name = trace.metro_name();
+  parallel_shards(n, threads, [&](unsigned, std::size_t begin,
+                                  std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) {
+      const std::uint32_t i = perm[j];
+      out.user[j] = user[i];
+      out.household[j] = household[i];
+      out.content[j] = content[i];
+      out.isp[j] = isp[i];
+      out.exp[j] = exp[i];
+      out.bitrate[j] = bitrate[i];
+      out.start[j] = placed[i];
+      double watched = duration[i];
+      if (moved[i] != 0 && placed[i] + watched > span_s) {
+        watched = span_s - placed[i];
+      }
+      out.duration[j] = watched;
+    }
+  });
+  if (trace.has_index()) carry_index(trace, perm, out, threads);
+
+  TraceView view = TraceView::from_columns(std::move(out));
+  if (const std::size_t bad = view.first_invalid_session(threads); bad < n) {
+    throw InvalidArgument("apply_preload: session " + std::to_string(bad) +
+                          " breaks the trace invariants (ordering, "
+                          "non-negative duration, inside the span)");
+  }
+  return view;
+}
+
+Trace apply_preload(const Trace& trace, const PreloadConfig& config,
+                    std::uint64_t seed) {
+  return apply_preload(TraceView::from_trace(trace), config, seed)
+      .to_trace();
 }
 
 }  // namespace cl

@@ -9,6 +9,10 @@
 // and offload. This module transforms a trace accordingly so the standard
 // simulator and model quantify the effect.
 //
+// The transform works on columns: it reads a TraceView (zero-copy for a
+// mapped `.cltrace`) and writes an owned-SoA view, never a row. The
+// Trace overload is a thin adapter over it.
+//
 // Simplification (documented): a preloaded download is modelled as a
 // session of unchanged duration and bitrate placed inside the preload
 // window — i.e. we model the timing shift, not accelerated bulk transfer.
@@ -17,6 +21,7 @@
 #include <cstdint>
 
 #include "trace/session.h"
+#include "trace/trace_view.h"
 
 namespace cl {
 
@@ -27,9 +32,24 @@ struct PreloadConfig {
   double window_end_hour = 9.0;    ///< preload window end, > start
 };
 
-/// Returns a copy of `trace` in which each session is, with probability
-/// `config.adoption`, moved into the preload window of its original day.
-/// Deterministic in `seed`. The result is re-sorted and validated.
+/// Returns `trace` with each session, with probability `config.adoption`,
+/// moved into the preload window of its original day (a target past the
+/// end of the span leaves the session where it is; a moved session is
+/// clipped at the span's end). Sessions come out sorted by
+/// (start, content, user), the original position breaking full-key ties,
+/// and the result is checked against the trace invariants (throws
+/// cl::InvalidArgument). Preload changes only start and duration, so a
+/// swarm index carries over: same groups, each group's order rebuilt
+/// from the new positions. Deterministic in `seed`; the result does not
+/// depend on `threads` (0 = all hardware threads).
+[[nodiscard]] TraceView apply_preload(const TraceView& trace,
+                                      const PreloadConfig& config,
+                                      std::uint64_t seed,
+                                      unsigned threads = 1);
+
+/// Row adapter over the column transform: the same sessions in the same
+/// order, materialized as a Trace (with the carried-over index when
+/// `trace` has one).
 [[nodiscard]] Trace apply_preload(const Trace& trace,
                                   const PreloadConfig& config,
                                   std::uint64_t seed);

@@ -1,5 +1,7 @@
 #include "model/swarm_model.h"
 
+#include <math.h>  // lgamma_r
+
 #include <cmath>
 
 #include "util/error.h"
@@ -22,8 +24,11 @@ double SwarmModel::p_online() const { return -std::expm1(-c_); }
 double SwarmModel::occupancy_pmf(unsigned l) const {
   if (c_ == 0) return l == 0 ? 1.0 : 0.0;
   // exp(l·ln c − c − ln l!) in log space to avoid overflow for large l.
+  // lgamma_r rather than std::lgamma, which writes libm's global
+  // `signgam` (a data race under concurrent callers).
+  int sign = 0;
   const double log_p = static_cast<double>(l) * std::log(c_) - c_ -
-                       std::lgamma(static_cast<double>(l) + 1.0);
+                       ::lgamma_r(static_cast<double>(l) + 1.0, &sign);
   return std::exp(log_p);
 }
 

@@ -1,5 +1,6 @@
 #include "trace/trace_view.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -43,57 +44,59 @@ bool can_alias_columns(const MappedTrace& m) {
 
 }  // namespace
 
-/// Owned SoA backing: one vector per session column plus the index
-/// order. Engaged by from_trace and by the from_mapped fallback.
-struct TraceView::Columns {
-  std::vector<std::uint32_t> user, household, content, isp, exp;
-  std::vector<std::uint8_t> bitrate;
-  std::vector<double> start, duration;
-  std::vector<std::uint32_t> order;
-};
+void TraceColumns::resize(std::size_t n) {
+  user.resize(n);
+  household.resize(n);
+  content.resize(n);
+  isp.resize(n);
+  exp.resize(n);
+  bitrate.resize(n);
+  start.resize(n);
+  duration.resize(n);
+}
 
 TraceView TraceView::from_trace(const Trace& trace, unsigned threads) {
   const std::size_t n = trace.sessions.size();
-  auto columns = std::make_shared<Columns>();
-  columns->user.resize(n);
-  columns->household.resize(n);
-  columns->content.resize(n);
-  columns->isp.resize(n);
-  columns->exp.resize(n);
-  columns->bitrate.resize(n);
-  columns->start.resize(n);
-  columns->duration.resize(n);
+  TraceColumns columns;
+  columns.resize(n);
   parallel_shards(n, threads, [&](unsigned, std::size_t begin,
                                   std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const SessionRecord& s = trace.sessions[i];
-      columns->user[i] = s.user;
-      columns->household[i] = s.household;
-      columns->content[i] = s.content;
-      columns->isp[i] = s.isp;
-      columns->exp[i] = s.exp;
-      columns->bitrate[i] = static_cast<std::uint8_t>(s.bitrate);
-      columns->start[i] = s.start;
-      columns->duration[i] = s.duration;
+      columns.user[i] = s.user;
+      columns.household[i] = s.household;
+      columns.content[i] = s.content;
+      columns.isp[i] = s.isp;
+      columns.exp[i] = s.exp;
+      columns.bitrate[i] = static_cast<std::uint8_t>(s.bitrate);
+      columns.start[i] = s.start;
+      columns.duration[i] = s.duration;
     }
   });
-  columns->order = trace.swarm_index.order;
+  columns.groups = trace.swarm_index.groups;
+  columns.order = trace.swarm_index.order;
+  columns.span = trace.span;
+  columns.metro_name = trace.metro_name;
+  return from_columns(std::move(columns));
+}
 
+TraceView TraceView::from_columns(TraceColumns columns) {
+  const auto owned = std::make_shared<TraceColumns>(std::move(columns));
   TraceView view;
-  view.user_ = columns->user;
-  view.household_ = columns->household;
-  view.content_ = columns->content;
-  view.isp_ = columns->isp;
-  view.exp_ = columns->exp;
-  view.bitrate_ = columns->bitrate;
-  view.start_ = columns->start;
-  view.duration_ = columns->duration;
-  view.order_ = columns->order;
-  view.groups_ = std::make_shared<const std::vector<SwarmIndexGroup>>(
-      trace.swarm_index.groups);
-  view.span_ = trace.span;
-  view.metro_name_ = trace.metro_name;
-  view.columns_ = std::move(columns);
+  view.user_ = owned->user;
+  view.household_ = owned->household;
+  view.content_ = owned->content;
+  view.isp_ = owned->isp;
+  view.exp_ = owned->exp;
+  view.bitrate_ = owned->bitrate;
+  view.start_ = owned->start;
+  view.duration_ = owned->duration;
+  view.order_ = owned->order;
+  view.groups_ = std::shared_ptr<const std::vector<SwarmIndexGroup>>(
+      owned, &owned->groups);  // aliases the owned columns
+  view.span_ = owned->span;
+  view.metro_name_ = owned->metro_name;
+  view.columns_ = owned;
   return view;
 }
 
@@ -131,27 +134,16 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
 
   // Field-level validation, column-wise — the same checks to_trace()
   // performs on materialized rows (bitrate range, session invariants),
-  // without building a single SessionRecord. Shard boundaries overlap by
-  // one element so the ordering check covers every adjacent pair.
-  const double span_limit = view.span_.value() + 1e-6;
-  parallel_shards(n, threads, [&](unsigned, std::size_t begin,
-                                  std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (view.bitrate_[i] >= kBitrateClasses) {
-        throw ParseError("corrupt .cltrace file: bitrate class out of "
-                         "range: " + std::to_string(view.bitrate_[i]));
-      }
-      const double start = view.start_[i];
-      const double duration = view.duration_[i];
-      if (!(duration >= 0) || !(start >= 0) ||
-          !(start + duration <= span_limit) ||
-          (i > 0 && !(start >= view.start_[i - 1]))) {
-        corrupt("session " + std::to_string(i) +
-                " violates the trace invariants (ordering, non-negative "
-                "duration, inside the span)");
-      }
+  // without building a single SessionRecord.
+  if (const std::size_t bad = view.first_invalid_session(threads); bad < n) {
+    if (view.bitrate_[bad] >= kBitrateClasses) {
+      throw ParseError("corrupt .cltrace file: bitrate class out of "
+                       "range: " + std::to_string(view.bitrate_[bad]));
     }
-  });
+    corrupt("session " + std::to_string(bad) +
+            " violates the trace invariants (ordering, non-negative "
+            "duration, inside the span)");
+  }
 
   // Decode the group table (tiny: one entry per swarm) and validate the
   // index against the key columns — validate_swarm_index's checks,
@@ -217,6 +209,43 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
 
 TraceView TraceView::open_binary(const std::string& path, unsigned threads) {
   return from_mapped(MappedTrace(path), threads);
+}
+
+std::size_t TraceView::first_invalid_session(unsigned threads) const {
+  // Each shard reports its first violation and the smallest wins, so the
+  // answer is the sequential scan's. Shards overlap by one element so the
+  // ordering check covers every adjacent pair.
+  const std::size_t n = size();
+  const double span_limit = span_.value() + 1e-6;
+  std::vector<std::size_t> first_bad(resolve_threads(threads, n), n);
+  parallel_shards(n, threads, [&](unsigned shard, std::size_t begin,
+                                  std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const double start = start_[i];
+      const double duration = duration_[i];
+      if (bitrate_[i] >= kBitrateClasses || !(duration >= 0) ||
+          !(start >= 0) || !(start + duration <= span_limit) ||
+          (i > 0 && !(start >= start_[i - 1]))) {
+        first_bad[shard] = i;
+        return;
+      }
+    }
+  });
+  return *std::min_element(first_bad.begin(), first_bad.end());
+}
+
+Trace TraceView::to_trace() const {
+  Trace trace;
+  trace.span = span_;
+  trace.metro_name = metro_name_;
+  trace.sessions.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i) {
+    trace.sessions.push_back(session(i));
+  }
+  const std::span<const SwarmIndexGroup> index_groups = groups();
+  trace.swarm_index.groups.assign(index_groups.begin(), index_groups.end());
+  trace.swarm_index.order.assign(order_.begin(), order_.end());
+  return trace;
 }
 
 SessionRecord TraceView::session(std::size_t i) const {

@@ -10,10 +10,11 @@
 //    aligned exactly so this cast is legal); nothing is decoded per
 //    session, nothing is materialized. This is the default for binary
 //    traces on little-endian hosts.
-//  * owned SoA — the spans point into column vectors transposed once
-//    from a row-structured Trace (CSV loads, generated or filtered
-//    traces), or decoded from a MappedTrace on big-endian/misaligned
-//    hosts.
+//  * owned SoA — the spans point into TraceColumns vectors: transposed
+//    once from a row-structured Trace (CSV loads, generated or filtered
+//    traces), decoded from a MappedTrace on big-endian/misaligned hosts,
+//    or written by a column transform of another view (the preload
+//    transform, ext/preload.h).
 //
 // Ownership and lifetime: a TraceView *shares* its backing (the mapped
 // file or the SoA buffers) via shared_ptr, so views are cheap to copy,
@@ -41,6 +42,22 @@
 
 namespace cl {
 
+/// Owned SoA storage a TraceView can adopt: one vector per session
+/// column (all the same length), the swarm index (empty groups and order
+/// when the trace carries none) and the trace header.
+struct TraceColumns {
+  std::vector<std::uint32_t> user, household, content, isp, exp;
+  std::vector<std::uint8_t> bitrate;
+  std::vector<double> start, duration;
+  std::vector<SwarmIndexGroup> groups;
+  std::vector<std::uint32_t> order;
+  Seconds span;
+  std::string metro_name;
+
+  /// Sizes every session column to `n` (the index is left alone).
+  void resize(std::size_t n);
+};
+
 /// Columnar view of a trace: per-field spans plus the swarm index.
 class TraceView {
  public:
@@ -54,6 +71,11 @@ class TraceView {
   /// field invariants are the loader's responsibility.
   [[nodiscard]] static TraceView from_trace(const Trace& trace,
                                             unsigned threads = 1);
+
+  /// Adopts owned columns (moved in, never copied). Trusts its input
+  /// like from_trace: a producer that can break the trace invariants
+  /// checks first_invalid_session() on the result.
+  [[nodiscard]] static TraceView from_columns(TraceColumns columns);
 
   /// Wraps a mapped `.cltrace` zero-copy (taking ownership of the
   /// mapping), falling back to a one-shot SoA transpose on hosts where
@@ -112,11 +134,19 @@ class TraceView {
   /// a hot-path API).
   [[nodiscard]] SessionRecord session(std::size_t i) const;
 
- private:
-  /// Owned SoA backing (from_trace, or the from_mapped fallback).
-  struct Columns;
+  /// Materializes the whole trace as rows, swarm index included (the
+  /// row-API adapters and tests — not a hot-path API).
+  [[nodiscard]] Trace to_trace() const;
 
-  std::shared_ptr<const Columns> columns_;
+  /// The first session breaking the trace invariants — bitrate class in
+  /// range, non-negative start and duration, starts ascending, end
+  /// inside the span (Trace::validate's 1e-6 s slack) — or size() when
+  /// every session holds them. Column passes sharded across `threads`
+  /// workers; the answer does not depend on the thread count.
+  [[nodiscard]] std::size_t first_invalid_session(unsigned threads = 1) const;
+
+ private:
+  std::shared_ptr<const TraceColumns> columns_;
   std::shared_ptr<const MappedTrace> mapped_;
   std::shared_ptr<const std::vector<SwarmIndexGroup>> groups_;
 

@@ -1,5 +1,7 @@
 #include "util/rng.h"
 
+#include <math.h>  // lgamma_r
+
 #include <algorithm>
 #include <cmath>
 
@@ -19,6 +21,14 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+/// ln(k!) as lgamma(k + 1). lgamma_r, not std::lgamma: std::lgamma writes
+/// libm's global `signgam`, a data race when generation workers draw
+/// Poisson variates concurrently. The value is the same.
+double log_factorial(double k) {
+  int sign = 0;
+  return ::lgamma_r(k + 1.0, &sign);
 }
 
 }  // namespace
@@ -105,7 +115,7 @@ std::uint64_t Rng::poisson(double mean) {
     if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
     if (k < 0 || (us < 0.013 && v > us)) continue;
     if (std::log(v) + std::log(inv_alpha) - std::log(a / (us * us) + b) <=
-        k * std::log(mean) - mean - std::lgamma(k + 1.0)) {
+        k * std::log(mean) - mean - log_factorial(k)) {
       return static_cast<std::uint64_t>(k);
     }
   }

@@ -492,6 +492,39 @@ TEST(CliSmoke, SimulateScheduleAddsScheduleSection) {
   std::filesystem::remove(trace);
 }
 
+TEST(CliSmoke, SchedulePreloadIdenticalAcrossFormatsAndThreads) {
+  // The preload schedule transforms columns: a mapped `.cltrace` and the
+  // CSV of the same trace must print the same report, at any --threads.
+  const std::string csv = temp_trace_path() + ".schedfmt.csv";
+  const std::string bin = temp_trace_path() + ".schedfmt.cltrace";
+  const RunResult gen = run_cli("generate --out " + csv +
+                                " --preset small --days 2 --seed 17 --quiet");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const RunResult conv =
+      run_cli("convert --in " + csv + " --out " + bin + " --quiet");
+  ASSERT_EQ(conv.exit_code, 0) << conv.output;
+
+  for (const std::string mode : {"all", "preload"}) {
+    const std::string flags =
+        " --intensity uk_2018 --schedule " + mode + " --threads ";
+    const RunResult reference =
+        run_cli("simulate --trace " + bin + flags + "1");
+    ASSERT_EQ(reference.exit_code, 0) << reference.output;
+    EXPECT_NE(reference.output.find("trough window"), std::string::npos);
+    for (const std::string& trace : {bin, csv}) {
+      for (const char* threads : {"1", "4"}) {
+        const RunResult result =
+            run_cli("simulate --trace " + trace + flags + threads);
+        ASSERT_EQ(result.exit_code, 0) << result.output;
+        EXPECT_EQ(result.output, reference.output)
+            << mode << " " << trace << " --threads " << threads;
+      }
+    }
+  }
+  std::filesystem::remove(csv);
+  std::filesystem::remove(bin);
+}
+
 TEST(CliSmoke, ScheduleRequiresIntensity) {
   const RunResult result = run_cli("simulate --days 1 --schedule all");
   EXPECT_EQ(result.exit_code, 2);

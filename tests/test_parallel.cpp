@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/analyzer.h"
+#include "expect_sim_result.h"
 #include "sim/swarm_sweep.h"
 #include "trace/synthetic.h"
 #include "trace/trace_stats.h"
@@ -198,55 +199,6 @@ TEST(ParallelChunkedReduce, StatefulVariantReusesWorkerState) {
     EXPECT_EQ(sum, 1000u * 999u / 2);
     EXPECT_LE(states_built.load(), static_cast<int>(resolve_threads(threads)));
     EXPECT_GE(states_built.load(), 1);
-  }
-}
-
-/// Exact-equality comparison of two full SimResults (total, hourly grids,
-/// per-user map, per-swarm entries) — the simulator's bit-identity
-/// contract across thread counts.
-void expect_sim_result_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.span.value(), b.span.value());
-  EXPECT_EQ(a.total.server.value(), b.total.server.value());
-  EXPECT_EQ(a.total.cross_isp.value(), b.total.cross_isp.value());
-  for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-    EXPECT_EQ(a.total.peer[l].value(), b.total.peer[l].value());
-  }
-
-  ASSERT_EQ(a.hourly.size(), b.hourly.size());
-  for (std::size_t h = 0; h < a.hourly.size(); ++h) {
-    ASSERT_EQ(a.hourly[h].size(), b.hourly[h].size());
-    for (std::size_t i = 0; i < a.hourly[h].size(); ++i) {
-      EXPECT_EQ(a.hourly[h][i].server.value(), b.hourly[h][i].server.value());
-      EXPECT_EQ(a.hourly[h][i].cross_isp.value(),
-                b.hourly[h][i].cross_isp.value());
-      for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-        EXPECT_EQ(a.hourly[h][i].peer[l].value(),
-                  b.hourly[h][i].peer[l].value());
-      }
-    }
-  }
-
-  ASSERT_EQ(a.users.size(), b.users.size());
-  for (const auto& [user, traffic] : a.users) {
-    const auto it = b.users.find(user);
-    ASSERT_NE(it, b.users.end()) << "user " << user;
-    EXPECT_EQ(traffic.downloaded.value(), it->second.downloaded.value());
-    EXPECT_EQ(traffic.uploaded.value(), it->second.uploaded.value());
-  }
-
-  ASSERT_EQ(a.swarms.size(), b.swarms.size());
-  for (std::size_t s = 0; s < a.swarms.size(); ++s) {
-    EXPECT_EQ(a.swarms[s].key.packed(), b.swarms[s].key.packed());
-    EXPECT_EQ(a.swarms[s].sessions, b.swarms[s].sessions);
-    EXPECT_EQ(a.swarms[s].capacity, b.swarms[s].capacity);
-    EXPECT_EQ(a.swarms[s].traffic.server.value(),
-              b.swarms[s].traffic.server.value());
-    EXPECT_EQ(a.swarms[s].traffic.cross_isp.value(),
-              b.swarms[s].traffic.cross_isp.value());
-    for (std::size_t l = 0; l < kLocalityLevels; ++l) {
-      EXPECT_EQ(a.swarms[s].traffic.peer[l].value(),
-                b.swarms[s].traffic.peer[l].value());
-    }
   }
 }
 

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -74,8 +76,13 @@ void expect_sessions_identical(const Trace& a, const Trace& b) {
   }
 }
 
+/// A temp file name private to this process: ctest -j runs every test in
+/// its own process, and two of them sharing a file can see it removed or
+/// rewritten while mapped.
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 /// Writes raw bytes to a temp file and returns its path.
