@@ -1,6 +1,5 @@
 #include "ext/preload.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -8,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "trace/start_order.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -15,64 +15,6 @@
 namespace cl {
 
 namespace {
-
-/// The output order as a permutation of input positions: ascending
-/// (start, content, user), then input position, where `start` is the
-/// placed start. A counting sort on a start bucket — monotone in start,
-/// so buckets come out in start order — then a sort of each (small)
-/// bucket by the full key.
-std::vector<std::uint32_t> preload_order(
-    const std::vector<double>& start, std::span<const std::uint32_t> content,
-    std::span<const std::uint32_t> user, unsigned threads) {
-  const std::size_t n = start.size();
-  double low = std::numeric_limits<double>::infinity();
-  double high = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Also keeps NaN and infinities out of the bucket arithmetic.
-    if (!(start[i] >= 0) || !std::isfinite(start[i])) {
-      throw InvalidArgument("apply_preload: session " + std::to_string(i) +
-                            " has a start outside [0, inf)");
-    }
-    low = std::min(low, start[i]);
-    high = std::max(high, start[i]);
-  }
-  const std::size_t buckets = std::max<std::size_t>(1, n / 2);
-  // Not finite when every start is (nearly) equal: one bucket then.
-  const double scale = static_cast<double>(buckets) / (high - low);
-  const auto bucket_of = [&](std::size_t i) -> std::size_t {
-    if (!std::isfinite(scale)) return 0;
-    return std::min(buckets - 1,
-                    static_cast<std::size_t>((start[i] - low) * scale));
-  };
-  std::vector<std::uint32_t> bucket_begin(buckets + 1);
-  for (std::size_t i = 0; i < n; ++i) ++bucket_begin[bucket_of(i) + 1];
-  for (std::size_t b = 0; b < buckets; ++b) {
-    bucket_begin[b + 1] += bucket_begin[b];
-  }
-  std::vector<std::uint32_t> order(n);
-  std::vector<std::uint32_t> cursor(bucket_begin.begin(),
-                                    bucket_begin.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    order[cursor[bucket_of(i)]++] = static_cast<std::uint32_t>(i);
-  }
-
-  const auto before = [&](std::uint32_t a, std::uint32_t b) {
-    if (start[a] != start[b]) return start[a] < start[b];
-    if (content[a] != content[b]) return content[a] < content[b];
-    if (user[a] != user[b]) return user[a] < user[b];
-    return a < b;
-  };
-  parallel_shards(buckets, threads, [&](unsigned, std::size_t begin,
-                                        std::size_t end) {
-    for (std::size_t b = begin; b < end; ++b) {
-      if (bucket_begin[b + 1] - bucket_begin[b] > 1) {
-        std::sort(order.begin() + bucket_begin[b],
-                  order.begin() + bucket_begin[b + 1], before);
-      }
-    }
-  });
-  return order;
-}
 
 /// The swarm index of the output. Preload moves starts, never swarm
 /// keys, so the groups carry over as they are; each group's order — its
@@ -140,14 +82,20 @@ TraceView apply_preload(const TraceView& trace, const PreloadConfig& config,
       }
     }
   }
-  const std::vector<std::uint32_t> perm =
-      preload_order(placed, trace.content(), trace.user(), threads);
+  // The output order: ascending (placed start, content, user), then
+  // input position.
+  const std::span<const std::uint32_t> content = trace.content();
+  const std::span<const std::uint32_t> user = trace.user();
+  const std::vector<std::uint32_t> perm = start_order(
+      n,
+      [&](std::size_t i) {
+        return StartKey{placed[i], content[i], user[i]};
+      },
+      threads);
 
   // Gather the columns in output order. A moved session ending past the
   // span is clipped there.
-  const std::span<const std::uint32_t> user = trace.user();
   const std::span<const std::uint32_t> household = trace.household();
-  const std::span<const std::uint32_t> content = trace.content();
   const std::span<const std::uint32_t> isp = trace.isp();
   const std::span<const std::uint32_t> exp = trace.exp();
   const std::span<const std::uint8_t> bitrate = trace.bitrate();

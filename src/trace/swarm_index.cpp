@@ -1,7 +1,12 @@
 #include "trace/swarm_index.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
 
@@ -11,41 +16,55 @@ SwarmIndex build_swarm_index(const Trace& trace) {
   const std::size_t n = trace.sessions.size();
   CL_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max());
 
-  SwarmIndex index;
-  index.order.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) index.order[i] = i;
-  // Sort by (content, isp, bitrate, session index): groups come out in
-  // ascending key order with ascending indices inside each group — the
+  // One pass gives every session the id of its (content, isp, bitrate)
+  // key; only the distinct keys are sorted. A stable counting scatter in
+  // session order then lays each group out with ascending indices — the
   // exact order the simulator's hash-grouping path produces.
-  std::sort(index.order.begin(), index.order.end(),
+  using Key = std::pair<std::uint64_t, std::uint8_t>;  // (content:isp, bitrate)
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const {
+      return std::hash<std::uint64_t>{}(key.first * 0x9e3779b97f4a7c15ULL +
+                                        key.second);
+    }
+  };
+  std::unordered_map<Key, std::uint32_t, KeyHash> ids;
+  std::vector<SwarmIndexGroup> keys;  // by id, in first-seen order
+  std::vector<std::uint32_t> key_id(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const SessionRecord& s = trace.sessions[i];
+    const auto bitrate = static_cast<std::uint8_t>(s.bitrate);
+    const auto [it, inserted] = ids.try_emplace(
+        Key{(static_cast<std::uint64_t>(s.content) << 32) | s.isp, bitrate},
+        static_cast<std::uint32_t>(keys.size()));
+    if (inserted) {
+      keys.push_back({.content = s.content, .isp = s.isp, .bitrate = bitrate});
+    }
+    key_id[i] = it->second;
+  }
+  std::vector<std::uint32_t> by_key(keys.size());
+  std::iota(by_key.begin(), by_key.end(), 0u);
+  std::sort(by_key.begin(), by_key.end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              const SessionRecord& sa = trace.sessions[a];
-              const SessionRecord& sb = trace.sessions[b];
-              if (sa.content != sb.content) return sa.content < sb.content;
-              if (sa.isp != sb.isp) return sa.isp < sb.isp;
-              if (sa.bitrate != sb.bitrate) return sa.bitrate < sb.bitrate;
-              return a < b;
+              return SwarmIndex::key_less(keys[a], keys[b]);
             });
 
-  for (std::size_t i = 0; i < n;) {
-    const SessionRecord& first = trace.sessions[index.order[i]];
-    SwarmIndexGroup group;
-    group.content = first.content;
-    group.isp = first.isp;
-    group.bitrate = static_cast<std::uint8_t>(first.bitrate);
-    group.begin = i;
-    std::size_t end = i + 1;
-    while (end < n) {
-      const SessionRecord& s = trace.sessions[index.order[end]];
-      if (s.content != first.content || s.isp != first.isp ||
-          s.bitrate != first.bitrate) {
-        break;
-      }
-      ++end;
-    }
-    group.count = end - i;
-    index.groups.push_back(group);
-    i = end;
+  SwarmIndex index;
+  index.groups.resize(keys.size());
+  std::vector<std::uint32_t> rank(keys.size());
+  for (std::uint32_t r = 0; r < by_key.size(); ++r) {
+    rank[by_key[r]] = r;
+    index.groups[r] = keys[by_key[r]];
+  }
+  for (const std::uint32_t id : key_id) ++index.groups[rank[id]].count;
+  std::vector<std::uint64_t> cursor(keys.size());
+  std::uint64_t begin = 0;
+  for (std::size_t r = 0; r < index.groups.size(); ++r) {
+    index.groups[r].begin = cursor[r] = begin;
+    begin += index.groups[r].count;
+  }
+  index.order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    index.order[cursor[rank[key_id[i]]]++] = static_cast<std::uint32_t>(i);
   }
   return index;
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "trace/start_order.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -123,40 +125,87 @@ TraceGenerator::TraceGenerator(TraceConfig config, const Metro& metro)
       bitrate_sampler_(std::vector<double>(config_.bitrate_mix.begin(),
                                            config_.bitrate_mix.end())) {}
 
+Rng TraceGenerator::content_stream(std::uint32_t content_id) const {
+  return Rng(config_.seed ^ (0x517cc1b727220a95ULL * (content_id + 1)));
+}
+
+std::uint64_t TraceGenerator::session_count(std::uint32_t content_id,
+                                            Rng& rng) const {
+  return rng.poisson(catalogue_.item(content_id).expected_views_per_month *
+                     config_.days / 30.0);
+}
+
 Trace TraceGenerator::generate() {
-  // Contents are sharded across workers; every content item keeps its own
-  // deterministically seeded RNG stream, so a shard's output depends only
-  // on which contents it covers. Shards cover ascending contiguous id
-  // ranges, so concatenating per-shard vectors in shard order reproduces
-  // the sequential content-id order exactly — the generated trace is
-  // bit-identical for every thread count.
-  const unsigned threads = resolve_threads(config_.threads, catalogue_.size());
-  std::vector<std::vector<SessionRecord>> shard_sessions(threads);
-  parallel_shards(
-      catalogue_.size(), threads,
-      [&](unsigned shard, std::size_t begin, std::size_t end) {
-        auto& out = shard_sessions[shard];
-        out.reserve(static_cast<std::size_t>(
-            catalogue_.total_views() * config_.days / 30.0 * 1.1 /
-            static_cast<double>(threads)));
-        for (std::size_t id = begin; id < end; ++id) {
-          Rng rng(config_.seed ^ (0x517cc1b727220a95ULL * (id + 1)));
-          append_content_sessions(static_cast<std::uint32_t>(id), rng, out);
-        }
-      });
-  std::vector<SessionRecord> sessions;
-  std::size_t total = 0;
-  for (const auto& shard : shard_sessions) total += shard.size();
-  sessions.reserve(total);
-  for (auto& shard : shard_sessions) {
-    sessions.insert(sessions.end(), shard.begin(), shard.end());
+  // Every content item owns a deterministically seeded RNG stream whose
+  // first draw is its session count. A prefix sum over the counts gives
+  // each content a fixed slot range, so workers can claim contents in
+  // any order — largest first, for balance — and fill their slots
+  // independently. The slots hold the sessions in content-id order, the
+  // position that breaks full-key ties in the final start order: the
+  // trace is bit-identical for every thread count.
+  const std::size_t contents = catalogue_.size();
+  std::vector<Rng> streams;
+  streams.reserve(contents);
+  std::vector<std::size_t> slot_begin(contents + 1);
+  for (std::uint32_t id = 0; id < contents; ++id) {
+    streams.push_back(content_stream(id));
+    slot_begin[id + 1] = slot_begin[id] + session_count(id, streams.back());
   }
-  std::sort(sessions.begin(), sessions.end(),
-            [](const SessionRecord& a, const SessionRecord& b) {
-              if (a.start != b.start) return a.start < b.start;
-              if (a.content != b.content) return a.content < b.content;
-              return a.user < b.user;
-            });
+  std::vector<std::uint32_t> claims(contents);
+  std::iota(claims.begin(), claims.end(), 0u);
+  std::stable_sort(claims.begin(), claims.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return slot_begin[a + 1] - slot_begin[a] >
+                            slot_begin[b + 1] - slot_begin[b];
+                   });
+  std::vector<SessionRecord> sessions(slot_begin.back());
+  parallel_claims(contents, config_.threads, [&](std::size_t c) {
+    const std::uint32_t id = claims[c];
+    // A local copy: neighbouring streams share cache lines, and every
+    // draw writes the state.
+    Rng rng = streams[id];
+    fill_content_sessions(id, rng,
+                          std::span(sessions.data() + slot_begin[id],
+                                    slot_begin[id + 1] - slot_begin[id]));
+  });
+  return ordered_trace(std::move(sessions));
+}
+
+Trace TraceGenerator::generate_content(std::uint32_t content_id) {
+  CL_EXPECTS(content_id < catalogue_.size());
+  Rng rng = content_stream(content_id);
+  std::vector<SessionRecord> sessions(session_count(content_id, rng));
+  fill_content_sessions(content_id, rng, sessions);
+  return ordered_trace(std::move(sessions));
+}
+
+Trace TraceGenerator::ordered_trace(
+    std::vector<SessionRecord> sessions) const {
+  std::vector<std::uint32_t> order = start_order(
+      sessions.size(),
+      [&](std::size_t i) {
+        const SessionRecord& s = sessions[i];
+        return StartKey{s.start, s.content, s.user};
+      },
+      config_.threads);
+  // Apply the permutation in place, one cycle at a time — a gathered copy
+  // would double the trace's peak memory. A visited position is marked
+  // as a fixed point.
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    if (order[j] == j) continue;
+    const SessionRecord carried = sessions[j];
+    std::size_t k = j;
+    for (;;) {
+      const std::size_t from = order[k];
+      order[k] = static_cast<std::uint32_t>(k);
+      if (from == j) {
+        sessions[k] = carried;
+        break;
+      }
+      sessions[k] = sessions[from];
+      k = from;
+    }
+  }
   Trace trace;
   trace.sessions = std::move(sessions);
   trace.span = config_.span();
@@ -165,31 +214,9 @@ Trace TraceGenerator::generate() {
   return trace;
 }
 
-Trace TraceGenerator::generate_content(std::uint32_t content_id) {
-  CL_EXPECTS(content_id < catalogue_.size());
-  std::vector<SessionRecord> sessions;
-  Rng rng(config_.seed ^ (0x517cc1b727220a95ULL * (content_id + 1)));
-  append_content_sessions(content_id, rng, sessions);
-  std::sort(sessions.begin(), sessions.end(),
-            [](const SessionRecord& a, const SessionRecord& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.user < b.user;
-            });
-  Trace trace;
-  trace.sessions = std::move(sessions);
-  trace.span = config_.span();
-  trace.metro_name = metro_->name();
-  trace.validate();
-  return trace;
-}
-
-void TraceGenerator::append_content_sessions(
-    std::uint32_t content_id, Rng& rng,
-    std::vector<SessionRecord>& out) const {
+void TraceGenerator::fill_content_sessions(
+    std::uint32_t content_id, Rng& rng, std::span<SessionRecord> out) const {
   const ContentInfo& info = catalogue_.item(content_id);
-  const double expected =
-      info.expected_views_per_month * config_.days / 30.0;
-  const std::uint64_t n = rng.poisson(expected);
   const auto whole_days =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(config_.days));
   const double span_s = config_.span().value();
@@ -201,8 +228,7 @@ void TraceGenerator::append_content_sessions(
   const DiscreteSampler& user_sampler =
       content_id < catalogue_.exemplar_count() ? head_user_sampler_
                                                : tail_user_sampler_;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    SessionRecord s;
+  for (SessionRecord& s : out) {
     s.content = content_id;
     s.user = static_cast<std::uint32_t>(user_sampler(rng));
     const UserProfile& profile = users_[s.user];
@@ -218,7 +244,6 @@ void TraceGenerator::append_content_sessions(
     s.duration = info.nominal_length.value() * fraction;
     if (s.start >= span_s) s.start = span_s - 1.0;
     if (s.end() > span_s) s.duration = span_s - s.start;
-    out.push_back(s);
   }
 }
 

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topology/placement.h"
@@ -42,10 +43,12 @@ struct TraceConfig {
   /// before constructing the generator.
   std::string metro = "london_top5";
 
-  /// Worker threads for generate(): content items are sharded across
-  /// workers, each with its own deterministic per-content RNG stream, and
-  /// recombined in content-id order — the resulting trace is bit-identical
-  /// for every thread count. 0 = all hardware threads.
+  /// Worker threads for generate(): each content item has its own
+  /// deterministic RNG stream and a fixed slot range in the output (a
+  /// prefix sum over the per-content session counts); workers claim
+  /// contents largest first and fill their slots, then the sessions are
+  /// start-ordered (trace/start_order.h) — the resulting trace is
+  /// bit-identical for every thread count. 0 = all hardware threads.
   unsigned threads = 1;
 
   std::uint32_t users = 60000;     ///< population (scaled-down London)
@@ -141,8 +144,18 @@ class TraceGenerator {
   }
 
  private:
-  void append_content_sessions(std::uint32_t content_id, Rng& rng,
-                               std::vector<SessionRecord>& out) const;
+  /// Content `content_id`'s RNG stream, positioned at its first draw.
+  [[nodiscard]] Rng content_stream(std::uint32_t content_id) const;
+  /// The stream's first draw: how many sessions the content gets.
+  [[nodiscard]] std::uint64_t session_count(std::uint32_t content_id,
+                                            Rng& rng) const;
+  /// Draws the content's sessions into `out` (one per element, in stream
+  /// order), continuing the stream after session_count.
+  void fill_content_sessions(std::uint32_t content_id, Rng& rng,
+                             std::span<SessionRecord> out) const;
+  /// Start-orders the sessions in place and wraps them as a validated
+  /// trace.
+  [[nodiscard]] Trace ordered_trace(std::vector<SessionRecord> sessions) const;
 
   TraceConfig config_;
   const Metro* metro_;

@@ -5,9 +5,12 @@
 //
 //  * parallel_shards splits [0, n) into one contiguous chunk per worker.
 //    Shard boundaries depend on the thread count, so callers must only use
-//    it where results are recombined in index order (e.g. the trace
-//    generator concatenates per-shard session vectors in shard order,
-//    which equals content-id order for contiguous shards).
+//    it where each index's output is independent of the shard it lands in
+//    (e.g. per-bucket sorts, column gathers).
+//
+//  * parallel_claims hands out single indices from a shared cursor, for
+//    items of very uneven cost whose outputs have fixed, item-owned slots
+//    (the trace generator's per-content session ranges).
 //
 //  * parallel_chunked_reduce splits [0, n) into fixed-size chunks whose
 //    boundaries depend only on n, hands chunks to workers, and merges the
@@ -149,6 +152,24 @@ void parallel_shards(std::size_t n, unsigned threads, Fn&& fn) {
     const std::size_t begin = n * shard / t;
     const std::size_t end = n * (shard + 1) / t;
     if (begin < end) fn(shard, begin, end);
+  });
+}
+
+/// Calls fn(i) once for every i in [0, n) on `threads` workers that claim
+/// indices one at a time, in ascending order, from a shared cursor — the
+/// load balances however uneven the items are (callers put the largest
+/// first). Which worker runs which item is racy, so fn must write only
+/// item-owned output.
+template <typename Fn>
+void parallel_claims(std::size_t n, unsigned threads, Fn&& fn) {
+  const unsigned t = resolve_threads(threads, n);
+  if (n == 0) return;
+  std::atomic<std::size_t> next{0};
+  detail::run_workers(t, [&](unsigned) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+    }
   });
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.h"
 
@@ -29,6 +30,16 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
 double log_factorial(double k) {
   int sign = 0;
   return ::lgamma_r(k + 1.0, &sign);
+}
+
+std::vector<double> zipf_weights(std::size_t n, double s) {
+  CL_EXPECTS(n >= 1);
+  CL_EXPECTS(s >= 0);
+  std::vector<double> weights(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    weights[k] = 1.0 / std::pow(static_cast<double>(k + 1), s);
+  }
+  return weights;
 }
 
 }  // namespace
@@ -143,48 +154,49 @@ Rng Rng::split() {
   return Rng((*this)());
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  CL_EXPECTS(n >= 1);
-  CL_EXPECTS(s >= 0);
-  cdf_.resize(n);
-  double sum = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
-    cdf_[k] = sum;
-  }
-  for (auto& v : cdf_) v /= sum;
-  cdf_.back() = 1.0;
-}
-
-std::size_t ZipfSampler::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
-}
-
-double ZipfSampler::pmf(std::size_t k) const {
-  CL_EXPECTS(k < cdf_.size());
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
-}
+ZipfSampler::ZipfSampler(std::size_t n, double s)
+    : sampler_(zipf_weights(n, s)) {}
 
 DiscreteSampler::DiscreteSampler(const std::vector<double>& weights) {
   CL_EXPECTS(!weights.empty());
+  CL_EXPECTS(weights.size() < std::numeric_limits<std::uint32_t>::max());
   cdf_.resize(weights.size());
   double sum = 0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    CL_EXPECTS(weights[i] >= 0);
+    CL_EXPECTS(weights[i] >= 0);  // also false for NaN
     sum += weights[i];
     cdf_[i] = sum;
   }
-  CL_EXPECTS(sum > 0);
+  // Not finite for an infinite weight, and for finite weights whose sum
+  // overflows ({1e308, 1e308}).
+  CL_EXPECTS(std::isfinite(sum) && sum > 0);
   for (auto& v : cdf_) v /= sum;
   cdf_.back() = 1.0;
+
+  const std::size_t m = cdf_.size();
+  const auto bucket = [m](double x) {
+    return std::min(m - 1,
+                    static_cast<std::size_t>(x * static_cast<double>(m)));
+  };
+  guide_.resize(m + 1);
+  std::size_t below = 0;
+  for (std::size_t k = 0; k <= m; ++k) {
+    while (below < m && bucket(cdf_[below]) < k) ++below;
+    guide_[k] = static_cast<std::uint32_t>(below);
+  }
 }
 
-std::size_t DiscreteSampler::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+std::size_t DiscreteSampler::quantile(double u) const {
+  CL_EXPECTS(u >= 0 && u < 1);
+  const std::size_t m = cdf_.size();
+  const std::size_t k =
+      std::min(m - 1, static_cast<std::size_t>(u * static_cast<double>(m)));
+  // The answer lies in [guide_[k], guide_[k+1]]: when no entry of the
+  // slice reaches u, lower_bound returns its end, guide_[k+1] itself.
+  const auto first = cdf_.begin() + guide_[k];
+  const auto last = cdf_.begin() + guide_[k + 1];
+  return static_cast<std::size_t>(std::lower_bound(first, last, u) -
+                                  cdf_.begin());
 }
 
 double DiscreteSampler::probability(std::size_t k) const {

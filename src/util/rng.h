@@ -68,6 +68,38 @@ class Rng {
   std::array<std::uint64_t, 4> s_{};
 };
 
+/// Samples an index from an arbitrary non-negative weight vector.
+///
+/// Inversion through the normalised CDF: a draw u ~ U[0, 1) maps to the
+/// first index whose cumulative probability is >= u. A guide table
+/// (Chen & Asau) narrows that search: with m = size() buckets, guide_[k]
+/// counts the CDF entries whose bucket min(m−1, ⌊cdf·m⌋) is below k.
+/// Because the bucket function is monotone, every u in bucket k has its
+/// answer in [guide_[k], guide_[k+1]], so the search over that slice
+/// returns exactly the full std::lower_bound's index — the draw sequence
+/// does not depend on the table.
+class DiscreteSampler {
+ public:
+  /// Precondition: weights non-empty, all finite and >= 0, with a finite
+  /// sum > 0, and fewer than 2^32 of them.
+  explicit DiscreteSampler(const std::vector<double>& weights);
+
+  /// Draws an index with one rng.uniform().
+  std::size_t operator()(Rng& rng) const { return quantile(rng.uniform()); }
+
+  /// The index the draw u maps to: the first k with cdf(k) >= u.
+  /// Precondition: 0 <= u < 1.
+  [[nodiscard]] std::size_t quantile(double u) const;
+
+  [[nodiscard]] double probability(std::size_t k) const;
+
+  [[nodiscard]] std::size_t size() const { return cdf_.size(); }
+
+ private:
+  std::vector<double> cdf_;  // inclusive prefix sums, cdf_.back() == 1
+  std::vector<std::uint32_t> guide_;  // size() + 1 cut points
+};
+
 /// Discrete sampler over indices 0..n-1 following a (truncated) Zipf
 /// distribution with exponent `s`: P(k) ∝ 1/(k+1)^s.
 ///
@@ -79,31 +111,17 @@ class ZipfSampler {
   ZipfSampler(std::size_t n, double s);
 
   /// Draws an index in [0, n).
-  std::size_t operator()(Rng& rng) const;
+  std::size_t operator()(Rng& rng) const { return sampler_(rng); }
 
   /// Probability mass of index k.
-  [[nodiscard]] double pmf(std::size_t k) const;
+  [[nodiscard]] double pmf(std::size_t k) const {
+    return sampler_.probability(k);
+  }
 
-  [[nodiscard]] std::size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;  // inclusive prefix sums, cdf_.back() == 1
-};
-
-/// Samples an index from an arbitrary non-negative weight vector.
-class DiscreteSampler {
- public:
-  /// Precondition: weights non-empty, all >= 0, sum > 0.
-  explicit DiscreteSampler(const std::vector<double>& weights);
-
-  std::size_t operator()(Rng& rng) const;
-
-  [[nodiscard]] double probability(std::size_t k) const;
-
-  [[nodiscard]] std::size_t size() const { return cdf_.size(); }
+  [[nodiscard]] std::size_t size() const { return sampler_.size(); }
 
  private:
-  std::vector<double> cdf_;
+  DiscreteSampler sampler_;
 };
 
 }  // namespace cl

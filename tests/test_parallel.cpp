@@ -88,6 +88,26 @@ TEST(ParallelShards, PropagatesWorkerExceptions) {
       std::runtime_error);
 }
 
+TEST(ParallelClaims, CallsEveryIndexExactlyOnce) {
+  for (unsigned threads : {1u, 2u, 3u, 8u}) {
+    std::vector<std::atomic<int>> hits(257);
+    parallel_claims(hits.size(), threads,
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+  bool called = false;
+  parallel_claims(0, 4, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(ParallelClaims, PropagatesWorkerExceptions) {
+  EXPECT_THROW(parallel_claims(100, 4,
+                               [](std::size_t i) {
+                                 if (i == 37) throw std::runtime_error("boom");
+                               }),
+               std::runtime_error);
+}
+
 TEST(ParallelChunkedReduce, SumBitIdenticalAcrossThreadCounts) {
   // Values with spread magnitudes so FP addition order matters.
   std::vector<double> xs(10000);

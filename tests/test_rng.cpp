@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "util/error.h"
 #include "util/stats.h"
@@ -209,6 +212,98 @@ TEST(DiscreteSampler, RejectsInvalidWeights) {
   EXPECT_THROW(DiscreteSampler({}), InvalidArgument);
   EXPECT_THROW(DiscreteSampler({0.0, 0.0}), InvalidArgument);
   EXPECT_THROW(DiscreteSampler({1.0, -1.0}), InvalidArgument);
+}
+
+TEST(DiscreteSampler, RejectsNonFiniteWeights) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // An infinite weight made probability(1) NaN and every draw return 1.
+  EXPECT_THROW(DiscreteSampler({1.0, inf, 1.0}), InvalidArgument);
+  EXPECT_THROW(DiscreteSampler({1.0, std::nan("")}), InvalidArgument);
+  EXPECT_THROW(DiscreteSampler({-inf, 1.0}), InvalidArgument);
+  // Finite weights whose sum overflows.
+  EXPECT_THROW(DiscreteSampler({1e308, 1e308, 1.0}), InvalidArgument);
+  EXPECT_NO_THROW(DiscreteSampler({1e307, 1e307, 1.0}));
+}
+
+TEST(DiscreteSampler, QuantileRejectsDrawsOutsideUnitInterval) {
+  const DiscreteSampler sampler({1.0, 2.0});
+  EXPECT_THROW((void)sampler.quantile(-1e-300), InvalidArgument);
+  EXPECT_THROW((void)sampler.quantile(1.0), InvalidArgument);
+  EXPECT_THROW((void)sampler.quantile(std::nan("")), InvalidArgument);
+  EXPECT_EQ(sampler.quantile(-0.0), 0u);
+}
+
+/// The CDF as the sampler builds it, searched in full with lower_bound.
+std::size_t full_search(const std::vector<double>& weights, double u) {
+  std::vector<double> cdf(weights.size());
+  double sum = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    sum += weights[i];
+    cdf[i] = sum;
+  }
+  for (auto& v : cdf) v /= sum;
+  cdf.back() = 1.0;
+  return static_cast<std::size_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+TEST(DiscreteSampler, GuideTableMatchesFullSearchAtBoundaries) {
+  std::vector<std::vector<double>> cases = {
+      {1.0},                                   // one entry
+      {0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0},     // zero-weight plateaus
+      {1e6, 1.0, 1.0, 1.0, 1e-6, 1.0, 1e-12},  // skewed
+      {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0},
+      {0.1, 0.2, 0.7},
+  };
+  std::vector<double> zipf;
+  for (int k = 1; k <= 1000; ++k) zipf.push_back(1.0 / std::pow(k, 1.3));
+  cases.push_back(zipf);
+  Rng rng(97);
+  std::vector<double> random_weights;
+  for (int k = 0; k < 777; ++k) {
+    random_weights.push_back(rng.bernoulli(0.2) ? 0.0 : rng.uniform());
+  }
+  cases.push_back(random_weights);
+
+  for (const auto& weights : cases) {
+    const DiscreteSampler sampler(weights);
+    const std::size_t m = weights.size();
+    std::vector<double> us = {0.0, std::nextafter(1.0, 0.0),
+                              std::numeric_limits<double>::denorm_min()};
+    for (std::size_t k = 0; k <= m; ++k) {
+      const double cut = static_cast<double>(k) / static_cast<double>(m);
+      us.push_back(std::nextafter(cut, 0.0));
+      if (cut < 1.0) {
+        us.push_back(cut);
+        us.push_back(std::nextafter(cut, 1.0));
+      }
+    }
+    double sum = 0;
+    for (const double w : weights) sum += w;
+    double prefix = 0;
+    for (const double w : weights) {
+      // Every CDF value and its neighbours.
+      prefix += w;
+      const double c = prefix / sum;
+      for (const double u : {std::nextafter(c, 0.0), c,
+                             std::nextafter(c, 1.0)}) {
+        if (u >= 0.0 && u < 1.0) us.push_back(u);
+      }
+    }
+    for (int i = 0; i < 2000; ++i) us.push_back(rng.uniform());
+    for (const double u : us) {
+      ASSERT_EQ(sampler.quantile(u), full_search(weights, u))
+          << "m=" << m << " u=" << u;
+    }
+  }
+}
+
+TEST(DiscreteSampler, DrawIsTheQuantileOfOneUniform) {
+  const DiscreteSampler sampler({3.0, 0.0, 1.0, 5.0});
+  Rng a(5), b(5);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(sampler(a), sampler.quantile(b.uniform()));
+  }
 }
 
 }  // namespace
