@@ -4,9 +4,9 @@
 // flat existence matcher, run).
 //
 // This is the bench behind the ROADMAP "zero-materialization sweep"
-// and "SIMD-explicit kernels" items: the acceptance bar is a >= 5x
-// single-thread sessions/s speedup for the SoA + SIMD path on a
-// >= 1M-session trace (CI pins it via compare_bench_json.py --min).
+// item: the acceptance bar is a >= 5x single-thread sessions/s speedup
+// for the SoA path on a >= 1M-session trace (CI pins it via
+// compare_bench_json.py --min).
 // Both paths must produce bit-identical SimResult totals — the bench
 // fails hard on divergence.
 //
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   });
   bench::banner("micro — simulator sweep throughput (row vs SoA columns)",
                 "acceptance bar: >= 5x single-thread sessions/s for the "
-                "SoA + SIMD sweep on a >= 1M-session trace");
+                "SoA sweep on a >= 1M-session trace");
 
   const Metro& metro = MetroRegistry::instance().get(kDefaultMetroName);
   const Trace trace =
@@ -187,14 +187,14 @@ int main(int argc, char** argv) {
   std::printf("\n  sweep speedup (SoA/rows): %.1fx  (results bit-identical)\n",
               speedup);
   std::printf(
-      "\n  SoA per-kernel split (instrumented rep, simd backend: %s)\n"
+      "\n  SoA per-kernel split (instrumented rep, target ISA: %s)\n"
       "    gather1  %7.3f s   gather2  %7.3f s\n"
       "    events   %7.3f s   allocate %7.3f s\n",
       cl::simd::kBackendName, phases.sweep_gather1_seconds,
       phases.sweep_gather2_seconds, phases.sweep_events_seconds,
       phases.sweep_allocate_seconds);
   if (speedup < 5.0 && trace.size() >= 1000000 && run.resolved_threads() == 1) {
-    std::cout << "  WARNING: below the 5x acceptance bar (SoA + SIMD)\n";
+    std::cout << "  WARNING: below the 5x acceptance bar (SoA sweep)\n";
   }
 
   run.metrics().set("row_sessions_per_second", row_rate);

@@ -58,7 +58,8 @@ struct SimPhaseTiming {
   // across workers — CPU seconds, so the four can exceed sweep_seconds
   // wall time when threads > 1. Collecting them adds clock reads to the
   // sweep hot path, so they are only measured when `timing` is non-null.
-  double sweep_gather1_seconds = 0;   ///< window bounds + watch time
+  double sweep_gather1_seconds = 0;   ///< window bounds, watch time,
+                                      ///< join/leave event streams
   double sweep_gather2_seconds = 0;   ///< per-peer column gathers
   double sweep_events_seconds = 0;    ///< event sort + stretch loop
   double sweep_allocate_seconds = 0;  ///< per-stretch allocation

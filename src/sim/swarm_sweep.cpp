@@ -75,8 +75,7 @@ SwarmSweep::SwarmSweep(const Metro& metro, const SimConfig& config,
     : metro_(&metro),
       config_(config),
       matcher_(make_matcher(config.matcher)),
-      timing_(timing),
-      use_simd_(simd::active()) {
+      timing_(timing) {
   CL_EXPECTS(config_.window.value() > 0);
   CL_EXPECTS(config_.q_over_beta >= 0);
 }
@@ -162,8 +161,8 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
     }
     const auto total_windows = static_cast<double>(w1 - w0);
     for (std::size_t i = 0; i < 2; ++i) {
-      sweep_kernels::fold_traffic(use_simd_, traffic_lanes(swarm_traffic),
-                                  al[i], total_windows);
+      sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic), al[i],
+                                  total_windows);
       if (config_.collect_per_user) {
         UserTraffic& ut = out.users[active_[i].user];
         // downloaded_bits() order: (server + cross), then the peer lanes.
@@ -189,8 +188,7 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
           row.resize(metro_->isp_count());
         }
         for (std::size_t i = 0; i < 2; ++i) {
-          sweep_kernels::fold_traffic(use_simd_,
-                                      traffic_lanes(row[active_[i].isp]),
+          sweep_kernels::fold_traffic(traffic_lanes(row[active_[i].isp]),
                                       al[i], chunk);
         }
         w = chunk_end;
@@ -258,7 +256,7 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
   const auto fold_totals = [&](const std::vector<PeerAllocation>& alloc_row,
                                double windows) {
     for (std::size_t i = 0; i < active_.size(); ++i) {
-      sweep_kernels::fold_traffic(use_simd_, traffic_lanes(swarm_traffic),
+      sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic),
                                   alloc_lanes(alloc_row[i]), windows);
       if (config_.collect_per_user) {
         UserTraffic& ut = out.users[active_[i].user];
@@ -300,8 +298,7 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
           row.resize(metro_->isp_count());
         }
         for (std::size_t i = 0; i < active_.size(); ++i) {
-          sweep_kernels::fold_traffic(use_simd_,
-                                      traffic_lanes(row[active_[i].isp]),
+          sweep_kernels::fold_traffic(traffic_lanes(row[active_[i].isp]),
                                       alloc_lanes(alloc_row[i]), chunk);
         }
         w = chunk_end;
@@ -445,12 +442,6 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
 
   const double dt = config_.window.value();
   const std::size_t count = indices.size();
-  // AVX2's i32 gathers treat indices as signed; a >2³¹-session trace
-  // must fall back to the scalar gather twins.
-  const bool kernel_simd =
-      use_simd_ &&
-      view.size() <= static_cast<std::size_t>(
-                         std::numeric_limits<std::int32_t>::max());
 
   // Gather phase 1 (kernel 1): window bounds, stripe-8 watch-time sum,
   // and the window-crossing count — sessions shorter than one window
@@ -459,8 +450,8 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
   w_start_.resize(count);
   w_end_.resize(count);
   const sweep_kernels::WindowBounds bounds = sweep_kernels::window_bounds(
-      kernel_simd, indices, view.start().data(), view.duration().data(), dt,
-      w_start_.data(), w_end_.data());
+      indices, view.start().data(), view.duration().data(), dt, w_start_.data(),
+      w_end_.data());
 
   // Build the event streams. Joins inherit the trace's start ordering
   // (verified — a shuffled trace falls back to the sorting loop), and
@@ -510,8 +501,8 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
     g_beta_.resize(count);
     static const std::array<double, kBitrateClasses> kBetaTable = beta_table();
     const sweep_kernels::PeerGather peers = sweep_kernels::gather_peer_columns(
-        kernel_simd, indices, view.user().data(), view.isp().data(),
-        view.exp().data(), view.bitrate().data(), kBetaTable.data(),
+        indices, view.user().data(), view.isp().data(), view.exp().data(),
+        view.bitrate().data(), kBetaTable.data(),
         want_user ? g_user_.data() : nullptr, g_isp_.data(), g_exp_.data(),
         g_beta_.data());
     single_isp = peers.single_isp;
@@ -520,8 +511,8 @@ void SwarmSweep::sweep(SwarmKey key, std::span<const std::uint32_t> indices,
       // One shared ExP→PoP table — gatherable.
       const std::span<const std::uint32_t> table =
           metro_->isp(g_isp_[0]).exp_to_pop();
-      max_pop = sweep_kernels::gather_pops(kernel_simd, g_exp_.data(), count,
-                                           table.data(), g_pop_.data());
+      max_pop = sweep_kernels::gather_pops(g_exp_.data(), count, table.data(),
+                                           g_pop_.data());
     } else {
       for (std::size_t g = 0; g < count; ++g) {
         const std::uint32_t pop = metro_->isp(g_isp_[g]).pop_of(g_exp_[g]);
@@ -683,6 +674,16 @@ void SwarmSweep::allocate_existence_flat(std::span<const ActivePeer> actives,
   // Same accumulation order as ExistenceMatcher::allocate — every
   // floating-point add/divide happens on the same values in the same
   // sequence, so the allocation is bit-identical to the generic matcher.
+  // Each ExP / PoP bucket is listed once, on its first deposit, for the
+  // share divides below. Branch-free: the id is always stored, and the
+  // cursor only advances while the bucket's demand is still +0.0 (every
+  // deposit is > 0).
+  if (served_exp_.size() < n) {
+    served_exp_.resize(n);
+    served_pop_.resize(n);
+  }
+  std::size_t n_exp = 0;
+  std::size_t n_pop = 0;
   double dem_core = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ActivePeer& a = actives[i];
@@ -693,9 +694,13 @@ void SwarmSweep::allocate_existence_flat(std::span<const ActivePeer> actives,
     if (d <= 0) continue;
     if (cnt_exp_[a.exp] >= 2) {
       out[i].peer_bits[index(LocalityLevel::kExchangePoint)] = d;
+      served_exp_[n_exp] = a.exp;
+      n_exp += dem_exp_[a.exp] == 0 ? 1 : 0;
       dem_exp_[a.exp] += d;
     } else if (cnt_pop_[a.pop] >= 2) {
       out[i].peer_bits[index(LocalityLevel::kPop)] = d;
+      served_pop_[n_pop] = a.pop;
+      n_pop += dem_pop_[a.pop] == 0 ? 1 : 0;
       dem_pop_[a.pop] += d;
     } else {
       // With n >= 2 peers in one ISP the core layer always has company;
@@ -707,15 +712,26 @@ void SwarmSweep::allocate_existence_flat(std::span<const ActivePeer> actives,
   }
 
   // Attribute uploads evenly across the members of each serving bucket
-  // (kernel 3; see DESIGN.md: totals are exact, the per-user split is
-  // the symmetric-swarm approximation). A bucket's demand is > 0 iff the
-  // map-based matcher would have an entry for it (all deposits are > 0).
-  // The core share is the same divide for every member — hoisted.
-  const double core_term =
-      dem_core > 0 ? dem_core / static_cast<double>(cnt_isp) : 0.0;
-  sweep_kernels::upload_shares(use_simd_, actives.data(), n, dem_exp_.data(),
-                               cnt_exp_.data(), dem_pop_.data(),
-                               cnt_pop_.data(), core_term, out.data());
+  // (see DESIGN.md: totals are exact, the per-user split is the
+  // symmetric-swarm approximation). Each served bucket's demand turns
+  // into its per-member share with one divide, in place — the divide
+  // the generic matcher repeats per member, on the same operands. A
+  // bucket that served nobody keeps +0.0, the bits of the term the
+  // generic matcher skips; so does the core when nobody used it
+  // (0.0 / n == +0.0).
+  for (std::size_t k = 0; k < n_exp; ++k) {
+    const std::uint32_t e = served_exp_[k];
+    dem_exp_[e] /= static_cast<double>(cnt_exp_[e]);
+  }
+  for (std::size_t k = 0; k < n_pop; ++k) {
+    const std::uint32_t p = served_pop_[k];
+    dem_pop_[p] /= static_cast<double>(cnt_pop_[p]);
+  }
+  const double core_term = dem_core / static_cast<double>(cnt_isp);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i].upload_bits =
+        dem_exp_[actives[i].exp] + dem_pop_[actives[i].pop] + core_term;
+  }
 
   // Restore the all-zero scratch invariant (touched entries only).
   for (const ActivePeer& a : actives) {

@@ -15,10 +15,9 @@
 //
 //  * sweep(…, TraceView) — the hot path. The swarm's sessions are
 //    gathered from the trace columns into small contiguous primitive
-//    arrays (window bounds, user/ISP/ExP/PoP ids, β) by the SIMD
-//    kernels in sim/sweep_kernels.h (backend and runtime dispatch:
-//    util/simd.h), and the inner loops touch only those arrays. Join
-//    events inherit the trace's start ordering, so only the leave
+//    arrays (window bounds, user/ISP/ExP/PoP ids, β) by the kernels in
+//    sim/sweep_kernels.h, and the inner loops touch only those arrays.
+//    Join events inherit the trace's start ordering, so only the leave
 //    stream is sorted — as packed (window, idx) u64 keys. Single-ISP
 //    swarms under the existence matcher additionally bypass the virtual
 //    Matcher for a flat-array allocator (bit-identical output, no hash
@@ -29,9 +28,8 @@
 //
 // A sweep accumulates into a partial SimResult; partials merge with
 // SimResult::merge (see sim/metrics.h) in ascending swarm-key order, so
-// the full simulation is bit-identical for every thread count — and
-// identical between the two data paths and every SIMD backend (the
-// kernels' lane-width-independence rule, DESIGN.md §"SIMD kernels").
+// the full simulation is bit-identical for every thread count and
+// between the two data paths (DESIGN.md §10).
 #pragma once
 
 #include <atomic>
@@ -47,7 +45,6 @@
 #include "topology/placement.h"
 #include "trace/session.h"
 #include "trace/trace_view.h"
-#include "util/simd.h"
 
 namespace cl {
 
@@ -57,7 +54,8 @@ namespace cl {
 /// workers, so they can exceed the sweep phase's wall time when
 /// threads > 1.
 struct SweepKernelTiming {
-  std::atomic<double> gather1_seconds{0};   ///< window bounds + watch time
+  std::atomic<double> gather1_seconds{0};   ///< window bounds, watch time,
+                                            ///< join/leave event streams
   std::atomic<double> gather2_seconds{0};   ///< per-peer column gathers
   std::atomic<double> events_seconds{0};    ///< event sort + stretch loop
   std::atomic<double> allocate_seconds{0};  ///< per-stretch allocation
@@ -69,8 +67,7 @@ class SwarmSweep {
   /// `metro` supplies the per-ISP trees for locality lookups and must
   /// outlive the sweep. `timing`, when non-null, receives the per-kernel
   /// wall-time split (adds clock reads to the hot path — only wire it up
-  /// when the caller asked for timing). The SIMD dispatch flag is
-  /// latched here: compiled backend ∧ CL_SIMD environment override.
+  /// when the caller asked for timing).
   SwarmSweep(const Metro& metro, const SimConfig& config,
              SweepKernelTiming* timing = nullptr);
 
@@ -140,7 +137,6 @@ class SwarmSweep {
   SimConfig config_;
   std::unique_ptr<Matcher> matcher_;
   SweepKernelTiming* timing_ = nullptr;
-  bool use_simd_ = false;
   // True while sweeping on the flat-allocator route (sweep() sets it per
   // swarm; sweep_rows keeps it off so the reference path stays generic):
   // lone-peer stretches — the dominant shape in sparse swarms — then
@@ -158,20 +154,22 @@ class SwarmSweep {
 
   // Event streams of the merge path: crossing-session indices in join
   // order, and packed (window << 24 | idx) leave sort keys.
-  simd::aligned_vector<std::uint32_t> join_idx_;
-  simd::aligned_vector<std::uint64_t> leave_keys_;
+  std::vector<std::uint32_t> join_idx_;
+  std::vector<std::uint64_t> leave_keys_;
 
-  // Per-swarm gathered columns (the SoA path's contiguous hot arrays),
-  // 64-byte aligned so the kernels' whole-array loads are aligned.
-  simd::aligned_vector<std::uint64_t> w_start_, w_end_;
-  simd::aligned_vector<std::uint32_t> g_user_, g_isp_, g_exp_, g_pop_;
-  simd::aligned_vector<double> g_beta_;
+  // Per-swarm gathered columns (the SoA path's contiguous hot arrays).
+  std::vector<std::uint64_t> w_start_, w_end_;
+  std::vector<std::uint32_t> g_user_, g_isp_, g_exp_, g_pop_;
+  std::vector<double> g_beta_;
 
   // Flat-array matcher scratch, indexed by ExP / PoP id. All-zero
   // between allocations (allocate_existence_flat re-zeroes the entries
   // it touched).
-  simd::aligned_vector<std::uint32_t> cnt_exp_, cnt_pop_;
-  simd::aligned_vector<double> dem_exp_, dem_pop_;
+  std::vector<std::uint32_t> cnt_exp_, cnt_pop_;
+  std::vector<double> dem_exp_, dem_pop_;
+  // The ExP / PoP ids that received demand in one allocation, each once,
+  // in first-deposit order (allocate_existence_flat).
+  std::vector<std::uint32_t> served_exp_, served_pop_;
 };
 
 }  // namespace cl

@@ -1,577 +1,23 @@
-// simd.h — portable fixed-width SIMD lane wrappers for the sweep kernels.
+// simd.h — the name of the vector ISA the compiler targets.
 //
-// One backend is selected at compile time from the target ISA:
-//
-//   * AVX2   — 4×f64 / 8×u32 / 4×u64 (`__AVX2__`, e.g. -march=x86-64-v3)
-//   * SSE2   — 2×f64 / 4×u32 / 2×u64 (the x86-64 baseline, always on)
-//   * NEON   — 2×f64 / 4×u32 / 2×u64 (`__aarch64__`)
-//   * scalar — 1 lane of each; the always-correct reference, also what
-//              `-DCL_SIMD_FORCE_SCALAR=1` forces on any target.
-//
-// At runtime `CL_SIMD=off` in the environment disables the intrinsic
-// kernels (`active()` returns false); callers dispatch per call site to
-// the scalar twin, which computes the same floating-point operation
-// sequence — see DESIGN.md §"SIMD kernels" for the lane-width-
-// independence rule that makes every backend bit-identical.
-//
-// The wrappers expose exactly the operation set the kernels in
-// sim/sweep_kernels.h need — this is not a general vector library:
-//
-//   * VF64 — load/store (aligned + unaligned), broadcast, +,-,*,/,
-//     max, `ge_mask`/`mask_and` (branchless `x >= t ? v : 0` selects),
-//     per-lane extract, and an index-array gather (native on AVX2,
-//     per-lane loads elsewhere).
-//   * VU32 — load/store, broadcast, unsigned max and equality
-//     (SSE2 has no `pmaxud`: emulated with a sign-bias compare), AND,
-//     per-lane extract, index-array gather, and a widening u32→f64
-//     convert of the low VF64-width lanes (exact: ids and bucket
-//     counts are < 2³¹).
-//   * VU64 — load/store, broadcast, +, shift-left, OR, per-lane
-//     extract; enough to build packed sort keys from window indices.
-//
-// Alignment: `aligned_vector<T>` (a std::vector on AlignedAllocator)
-// gives scratch arrays 64-byte alignment — one cache line, and the
-// widest load any backend issues — so kernels can use aligned loads on
-// their own scratch and unaligned loads only on caller memory.
+// The sweep kernels (sim/sweep_kernels.h) are plain loops, so the vector
+// code they run follows from the target flags alone. This name stamps
+// benchmark runs and bench reports with that target, so numbers from
+// "-march=x86-64" and "-march=x86-64-v3" builds are not compared as if
+// they were one machine.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <new>
-#include <string_view>
-#include <vector>
-
-#if defined(CL_SIMD_FORCE_SCALAR)
-#define CL_SIMD_SCALAR 1
-#elif defined(__AVX2__)
-#define CL_SIMD_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64) || \
-    (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define CL_SIMD_SSE2 1
-#include <emmintrin.h>
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define CL_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define CL_SIMD_SCALAR 1
-#endif
 
 namespace cl::simd {
 
-#if defined(CL_SIMD_AVX2)
+#if defined(__AVX2__)
 inline constexpr const char* kBackendName = "avx2";
-inline constexpr bool kHasSimd = true;
-inline constexpr std::size_t kF64Lanes = 4;
-#elif defined(CL_SIMD_SSE2)
+#elif defined(__SSE2__) || defined(_M_X64) || \
+    (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 inline constexpr const char* kBackendName = "sse2";
-inline constexpr bool kHasSimd = true;
-inline constexpr std::size_t kF64Lanes = 2;
-#elif defined(CL_SIMD_NEON)
+#elif defined(__aarch64__) && defined(__ARM_NEON)
 inline constexpr const char* kBackendName = "neon";
-inline constexpr bool kHasSimd = true;
-inline constexpr std::size_t kF64Lanes = 2;
 #else
 inline constexpr const char* kBackendName = "scalar";
-inline constexpr bool kHasSimd = false;
-inline constexpr std::size_t kF64Lanes = 1;
-#endif
-
-inline constexpr std::size_t kU32Lanes = kF64Lanes * 2;
-inline constexpr std::size_t kU64Lanes = kF64Lanes;
-
-/// Scratch-array alignment: one cache line, and ≥ the widest vector any
-/// backend loads.
-inline constexpr std::size_t kAlign = 64;
-
-/// Runtime opt-out: `CL_SIMD=off` forces the scalar kernel twins even in
-/// an intrinsic build (read per call — tests toggle it mid-process).
-inline bool runtime_enabled() {
-  const char* env = std::getenv("CL_SIMD");
-  return env == nullptr || std::string_view(env) != "off";
-}
-
-/// True when intrinsic kernels should run: an intrinsic backend was
-/// compiled in and the environment does not veto it.
-inline bool active() { return kHasSimd && runtime_enabled(); }
-
-/// Software-prefetch hint for the gather kernels: swarm indices stride
-/// tens of sessions apart, so nearly every column access opens a fresh
-/// cache line in a pattern the hardware prefetcher cannot predict — but
-/// the kernel knows the next indices well in advance. Purely a hint; no
-/// effect on results.
-inline void prefetch(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
-}
-
-/// How many elements ahead the gather kernels prefetch — far enough to
-/// cover a memory round-trip at a few cycles per element, near enough
-/// that the lines still sit in L1 when the loop arrives.
-inline constexpr std::size_t kPrefetchAhead = 16;
-
-/// Minimal over-aligned allocator (C++17 aligned operator new) so
-/// std::vector scratch starts on a 64-byte boundary.
-template <typename T, std::size_t Align = kAlign>
-struct AlignedAllocator {
-  using value_type = T;
-  static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0);
-
-  AlignedAllocator() = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{Align}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{Align});
-  }
-  template <typename U>
-  struct rebind {
-    using other = AlignedAllocator<U, Align>;
-  };
-  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
-    return true;
-  }
-};
-
-template <typename T>
-using aligned_vector = std::vector<T, AlignedAllocator<T>>;
-
-// ---------------------------------------------------------------------------
-// VF64 — kF64Lanes × double
-// ---------------------------------------------------------------------------
-
-#if defined(CL_SIMD_AVX2)
-
-struct VF64 {
-  __m256d v;
-  static constexpr std::size_t kLanes = 4;
-
-  static VF64 zero() { return {_mm256_setzero_pd()}; }
-  static VF64 set1(double x) { return {_mm256_set1_pd(x)}; }
-  static VF64 load(const double* p) { return {_mm256_load_pd(p)}; }
-  static VF64 loadu(const double* p) { return {_mm256_loadu_pd(p)}; }
-  void store(double* p) const { _mm256_store_pd(p, v); }
-  void storeu(double* p) const { _mm256_storeu_pd(p, v); }
-
-  /// base[idx[0..3]] — native gather. Indices are treated as *signed*
-  /// 32-bit by the instruction; callers guard idx < 2³¹.
-  static VF64 gather(const double* base, const std::uint32_t* idx) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    return {_mm256_i32gather_pd(base, vi, 8)};
-  }
-
-  friend VF64 operator+(VF64 a, VF64 b) { return {_mm256_add_pd(a.v, b.v)}; }
-  friend VF64 operator-(VF64 a, VF64 b) { return {_mm256_sub_pd(a.v, b.v)}; }
-  friend VF64 operator*(VF64 a, VF64 b) { return {_mm256_mul_pd(a.v, b.v)}; }
-  friend VF64 operator/(VF64 a, VF64 b) { return {_mm256_div_pd(a.v, b.v)}; }
-  VF64& operator+=(VF64 b) {
-    v = _mm256_add_pd(v, b.v);
-    return *this;
-  }
-  static VF64 max(VF64 a, VF64 b) { return {_mm256_max_pd(a.v, b.v)}; }
-
-  /// All-ones lane mask where a > b.
-  static VF64 gt_mask(VF64 a, VF64 b) {
-    return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)};
-  }
-  /// Lane-wise a & mask (mask lanes are all-ones / all-zeros).
-  static VF64 mask_and(VF64 a, VF64 mask) {
-    return {_mm256_and_pd(a.v, mask.v)};
-  }
-
-  [[nodiscard]] double lane(std::size_t i) const {
-    alignas(32) double tmp[4];
-    _mm256_store_pd(tmp, v);
-    return tmp[i];
-  }
-};
-
-#elif defined(CL_SIMD_SSE2)
-
-struct VF64 {
-  __m128d v;
-  static constexpr std::size_t kLanes = 2;
-
-  static VF64 zero() { return {_mm_setzero_pd()}; }
-  static VF64 set1(double x) { return {_mm_set1_pd(x)}; }
-  static VF64 load(const double* p) { return {_mm_load_pd(p)}; }
-  static VF64 loadu(const double* p) { return {_mm_loadu_pd(p)}; }
-  void store(double* p) const { _mm_store_pd(p, v); }
-  void storeu(double* p) const { _mm_storeu_pd(p, v); }
-
-  /// SSE2 has no gather: two scalar loads packed.
-  static VF64 gather(const double* base, const std::uint32_t* idx) {
-    return {_mm_set_pd(base[idx[1]], base[idx[0]])};
-  }
-
-  friend VF64 operator+(VF64 a, VF64 b) { return {_mm_add_pd(a.v, b.v)}; }
-  friend VF64 operator-(VF64 a, VF64 b) { return {_mm_sub_pd(a.v, b.v)}; }
-  friend VF64 operator*(VF64 a, VF64 b) { return {_mm_mul_pd(a.v, b.v)}; }
-  friend VF64 operator/(VF64 a, VF64 b) { return {_mm_div_pd(a.v, b.v)}; }
-  VF64& operator+=(VF64 b) {
-    v = _mm_add_pd(v, b.v);
-    return *this;
-  }
-  static VF64 max(VF64 a, VF64 b) { return {_mm_max_pd(a.v, b.v)}; }
-
-  static VF64 gt_mask(VF64 a, VF64 b) { return {_mm_cmpgt_pd(a.v, b.v)}; }
-  static VF64 mask_and(VF64 a, VF64 mask) {
-    return {_mm_and_pd(a.v, mask.v)};
-  }
-
-  [[nodiscard]] double lane(std::size_t i) const {
-    alignas(16) double tmp[2];
-    _mm_store_pd(tmp, v);
-    return tmp[i];
-  }
-};
-
-#elif defined(CL_SIMD_NEON)
-
-struct VF64 {
-  float64x2_t v;
-  static constexpr std::size_t kLanes = 2;
-
-  static VF64 zero() { return {vdupq_n_f64(0.0)}; }
-  static VF64 set1(double x) { return {vdupq_n_f64(x)}; }
-  static VF64 load(const double* p) { return {vld1q_f64(p)}; }
-  static VF64 loadu(const double* p) { return {vld1q_f64(p)}; }
-  void store(double* p) const { vst1q_f64(p, v); }
-  void storeu(double* p) const { vst1q_f64(p, v); }
-
-  static VF64 gather(const double* base, const std::uint32_t* idx) {
-    const double lanes[2] = {base[idx[0]], base[idx[1]]};
-    return {vld1q_f64(lanes)};
-  }
-
-  friend VF64 operator+(VF64 a, VF64 b) { return {vaddq_f64(a.v, b.v)}; }
-  friend VF64 operator-(VF64 a, VF64 b) { return {vsubq_f64(a.v, b.v)}; }
-  friend VF64 operator*(VF64 a, VF64 b) { return {vmulq_f64(a.v, b.v)}; }
-  friend VF64 operator/(VF64 a, VF64 b) { return {vdivq_f64(a.v, b.v)}; }
-  VF64& operator+=(VF64 b) {
-    v = vaddq_f64(v, b.v);
-    return *this;
-  }
-  static VF64 max(VF64 a, VF64 b) { return {vmaxq_f64(a.v, b.v)}; }
-
-  static VF64 gt_mask(VF64 a, VF64 b) {
-    return {vreinterpretq_f64_u64(vcgtq_f64(a.v, b.v))};
-  }
-  static VF64 mask_and(VF64 a, VF64 mask) {
-    return {vreinterpretq_f64_u64(vandq_u64(vreinterpretq_u64_f64(a.v),
-                                            vreinterpretq_u64_f64(mask.v)))};
-  }
-
-  [[nodiscard]] double lane(std::size_t i) const {
-    double tmp[2];
-    vst1q_f64(tmp, v);
-    return tmp[i];
-  }
-};
-
-#else  // scalar
-
-struct VF64 {
-  double v;
-  static constexpr std::size_t kLanes = 1;
-
-  static VF64 zero() { return {0.0}; }
-  static VF64 set1(double x) { return {x}; }
-  static VF64 load(const double* p) { return {*p}; }
-  static VF64 loadu(const double* p) { return {*p}; }
-  void store(double* p) const { *p = v; }
-  void storeu(double* p) const { *p = v; }
-  static VF64 gather(const double* base, const std::uint32_t* idx) {
-    return {base[idx[0]]};
-  }
-
-  friend VF64 operator+(VF64 a, VF64 b) { return {a.v + b.v}; }
-  friend VF64 operator-(VF64 a, VF64 b) { return {a.v - b.v}; }
-  friend VF64 operator*(VF64 a, VF64 b) { return {a.v * b.v}; }
-  friend VF64 operator/(VF64 a, VF64 b) { return {a.v / b.v}; }
-  VF64& operator+=(VF64 b) {
-    v += b.v;
-    return *this;
-  }
-  static VF64 max(VF64 a, VF64 b) { return {a.v > b.v ? a.v : b.v}; }
-  static VF64 gt_mask(VF64 a, VF64 b) {
-    std::uint64_t m = a.v > b.v ? ~std::uint64_t{0} : 0;
-    double d;
-    __builtin_memcpy(&d, &m, sizeof d);
-    return {d};
-  }
-  static VF64 mask_and(VF64 a, VF64 mask) {
-    std::uint64_t x, m;
-    __builtin_memcpy(&x, &a.v, sizeof x);
-    __builtin_memcpy(&m, &mask.v, sizeof m);
-    x &= m;
-    double d;
-    __builtin_memcpy(&d, &x, sizeof d);
-    return {d};
-  }
-  [[nodiscard]] double lane(std::size_t) const { return v; }
-};
-
-#endif
-
-// ---------------------------------------------------------------------------
-// VU32 — kU32Lanes × uint32
-// ---------------------------------------------------------------------------
-
-#if defined(CL_SIMD_AVX2)
-
-struct VU32 {
-  __m256i v;
-  static constexpr std::size_t kLanes = 8;
-
-  static VU32 set1(std::uint32_t x) {
-    return {_mm256_set1_epi32(static_cast<int>(x))};
-  }
-  static VU32 loadu(const std::uint32_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  void storeu(std::uint32_t* p) const {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  /// base[idx[0..7]] — native gather (signed-index caveat as VF64).
-  static VU32 gather(const std::uint32_t* base, const std::uint32_t* idx) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return {_mm256_i32gather_epi32(reinterpret_cast<const int*>(base), vi, 4)};
-  }
-
-  static VU32 max(VU32 a, VU32 b) { return {_mm256_max_epu32(a.v, b.v)}; }
-  static VU32 cmpeq(VU32 a, VU32 b) { return {_mm256_cmpeq_epi32(a.v, b.v)}; }
-  friend VU32 operator&(VU32 a, VU32 b) {
-    return {_mm256_and_si256(a.v, b.v)};
-  }
-
-  /// True when every lane is all-ones (e.g. an accumulated cmpeq mask).
-  [[nodiscard]] bool all_ones() const {
-    return _mm256_movemask_epi8(v) == -1;
-  }
-  [[nodiscard]] std::uint32_t lane(std::size_t i) const {
-    alignas(32) std::uint32_t tmp[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    return tmp[i];
-  }
-  /// Exact widening convert of lanes [lo, lo+VF64::kLanes) to doubles
-  /// (values < 2³¹, so the signed epi32 convert is exact).
-  [[nodiscard]] VF64 to_f64(std::size_t lo) const {
-    const __m128i half =
-        lo == 0 ? _mm256_castsi256_si128(v) : _mm256_extracti128_si256(v, 1);
-    return {_mm256_cvtepi32_pd(half)};
-  }
-};
-
-#elif defined(CL_SIMD_SSE2)
-
-struct VU32 {
-  __m128i v;
-  static constexpr std::size_t kLanes = 4;
-
-  static VU32 set1(std::uint32_t x) {
-    return {_mm_set1_epi32(static_cast<int>(x))};
-  }
-  static VU32 loadu(const std::uint32_t* p) {
-    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
-  }
-  void storeu(std::uint32_t* p) const {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-  }
-  static VU32 gather(const std::uint32_t* base, const std::uint32_t* idx) {
-    return {_mm_set_epi32(static_cast<int>(base[idx[3]]),
-                          static_cast<int>(base[idx[2]]),
-                          static_cast<int>(base[idx[1]]),
-                          static_cast<int>(base[idx[0]]))};
-  }
-
-  /// SSE2 has no unsigned max: bias both operands by 0x80000000 and use
-  /// the signed compare to build a blend mask.
-  static VU32 max(VU32 a, VU32 b) {
-    const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-    const __m128i gt =
-        _mm_cmpgt_epi32(_mm_xor_si128(a.v, bias), _mm_xor_si128(b.v, bias));
-    return {_mm_or_si128(_mm_and_si128(gt, a.v), _mm_andnot_si128(gt, b.v))};
-  }
-  static VU32 cmpeq(VU32 a, VU32 b) { return {_mm_cmpeq_epi32(a.v, b.v)}; }
-  friend VU32 operator&(VU32 a, VU32 b) { return {_mm_and_si128(a.v, b.v)}; }
-
-  [[nodiscard]] bool all_ones() const { return _mm_movemask_epi8(v) == 0xFFFF; }
-  [[nodiscard]] std::uint32_t lane(std::size_t i) const {
-    alignas(16) std::uint32_t tmp[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), v);
-    return tmp[i];
-  }
-  [[nodiscard]] VF64 to_f64(std::size_t lo) const {
-    const __m128i half =
-        lo == 0 ? v : _mm_shuffle_epi32(v, _MM_SHUFFLE(3, 2, 3, 2));
-    return {_mm_cvtepi32_pd(half)};
-  }
-};
-
-#elif defined(CL_SIMD_NEON)
-
-struct VU32 {
-  uint32x4_t v;
-  static constexpr std::size_t kLanes = 4;
-
-  static VU32 set1(std::uint32_t x) { return {vdupq_n_u32(x)}; }
-  static VU32 loadu(const std::uint32_t* p) { return {vld1q_u32(p)}; }
-  void storeu(std::uint32_t* p) const { vst1q_u32(p, v); }
-  static VU32 gather(const std::uint32_t* base, const std::uint32_t* idx) {
-    const std::uint32_t lanes[4] = {base[idx[0]], base[idx[1]], base[idx[2]],
-                                    base[idx[3]]};
-    return {vld1q_u32(lanes)};
-  }
-
-  static VU32 max(VU32 a, VU32 b) { return {vmaxq_u32(a.v, b.v)}; }
-  static VU32 cmpeq(VU32 a, VU32 b) { return {vceqq_u32(a.v, b.v)}; }
-  friend VU32 operator&(VU32 a, VU32 b) { return {vandq_u32(a.v, b.v)}; }
-
-  [[nodiscard]] bool all_ones() const {
-    return vminvq_u32(v) == ~std::uint32_t{0};
-  }
-  [[nodiscard]] std::uint32_t lane(std::size_t i) const {
-    std::uint32_t tmp[4];
-    vst1q_u32(tmp, v);
-    return tmp[i];
-  }
-  [[nodiscard]] VF64 to_f64(std::size_t lo) const {
-    const uint32x2_t half = lo == 0 ? vget_low_u32(v) : vget_high_u32(v);
-    return {vcvtq_f64_u64(vmovl_u32(half))};
-  }
-};
-
-#else  // scalar
-
-struct VU32 {
-  std::uint32_t v;
-  static constexpr std::size_t kLanes = 1;
-
-  static VU32 set1(std::uint32_t x) { return {x}; }
-  static VU32 loadu(const std::uint32_t* p) { return {*p}; }
-  void storeu(std::uint32_t* p) const { *p = v; }
-  static VU32 gather(const std::uint32_t* base, const std::uint32_t* idx) {
-    return {base[idx[0]]};
-  }
-  static VU32 max(VU32 a, VU32 b) { return {a.v > b.v ? a.v : b.v}; }
-  static VU32 cmpeq(VU32 a, VU32 b) {
-    return {a.v == b.v ? ~std::uint32_t{0} : 0};
-  }
-  friend VU32 operator&(VU32 a, VU32 b) { return {a.v & b.v}; }
-  [[nodiscard]] bool all_ones() const { return v == ~std::uint32_t{0}; }
-  [[nodiscard]] std::uint32_t lane(std::size_t) const { return v; }
-  [[nodiscard]] VF64 to_f64(std::size_t) const {
-    return {static_cast<double>(v)};
-  }
-};
-
-#endif
-
-// ---------------------------------------------------------------------------
-// VU64 — kU64Lanes × uint64 (packed sort-key construction)
-// ---------------------------------------------------------------------------
-
-#if defined(CL_SIMD_AVX2)
-
-struct VU64 {
-  __m256i v;
-  static constexpr std::size_t kLanes = 4;
-
-  static VU64 set1(std::uint64_t x) {
-    return {_mm256_set1_epi64x(static_cast<long long>(x))};
-  }
-  static VU64 loadu(const std::uint64_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  void storeu(std::uint64_t* p) const {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  friend VU64 operator+(VU64 a, VU64 b) {
-    return {_mm256_add_epi64(a.v, b.v)};
-  }
-  friend VU64 operator|(VU64 a, VU64 b) {
-    return {_mm256_or_si256(a.v, b.v)};
-  }
-  [[nodiscard]] VU64 shl(int n) const { return {_mm256_slli_epi64(v, n)}; }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const {
-    alignas(32) std::uint64_t tmp[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    return tmp[i];
-  }
-};
-
-#elif defined(CL_SIMD_SSE2)
-
-struct VU64 {
-  __m128i v;
-  static constexpr std::size_t kLanes = 2;
-
-  static VU64 set1(std::uint64_t x) {
-    return {_mm_set1_epi64x(static_cast<long long>(x))};
-  }
-  static VU64 loadu(const std::uint64_t* p) {
-    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
-  }
-  void storeu(std::uint64_t* p) const {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-  }
-  friend VU64 operator+(VU64 a, VU64 b) { return {_mm_add_epi64(a.v, b.v)}; }
-  friend VU64 operator|(VU64 a, VU64 b) { return {_mm_or_si128(a.v, b.v)}; }
-  [[nodiscard]] VU64 shl(int n) const { return {_mm_slli_epi64(v, n)}; }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const {
-    alignas(16) std::uint64_t tmp[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), v);
-    return tmp[i];
-  }
-};
-
-#elif defined(CL_SIMD_NEON)
-
-struct VU64 {
-  uint64x2_t v;
-  static constexpr std::size_t kLanes = 2;
-
-  static VU64 set1(std::uint64_t x) { return {vdupq_n_u64(x)}; }
-  static VU64 loadu(const std::uint64_t* p) { return {vld1q_u64(p)}; }
-  void storeu(std::uint64_t* p) const { vst1q_u64(p, v); }
-  friend VU64 operator+(VU64 a, VU64 b) { return {vaddq_u64(a.v, b.v)}; }
-  friend VU64 operator|(VU64 a, VU64 b) { return {vorrq_u64(a.v, b.v)}; }
-  [[nodiscard]] VU64 shl(int n) const {
-    return {vshlq_u64(v, vdupq_n_s64(n))};
-  }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const {
-    std::uint64_t tmp[2];
-    vst1q_u64(tmp, v);
-    return tmp[i];
-  }
-};
-
-#else  // scalar
-
-struct VU64 {
-  std::uint64_t v;
-  static constexpr std::size_t kLanes = 1;
-
-  static VU64 set1(std::uint64_t x) { return {x}; }
-  static VU64 loadu(const std::uint64_t* p) { return {*p}; }
-  void storeu(std::uint64_t* p) const { *p = v; }
-  friend VU64 operator+(VU64 a, VU64 b) { return {a.v + b.v}; }
-  friend VU64 operator|(VU64 a, VU64 b) { return {a.v | b.v}; }
-  [[nodiscard]] VU64 shl(int n) const { return {v << n}; }
-  [[nodiscard]] std::uint64_t lane(std::size_t) const { return v; }
-};
-
 #endif
 
 }  // namespace cl::simd

@@ -362,8 +362,8 @@ TEST(Overload, BitIdenticalAcrossThreadCountsAndDataPaths) {
   sim_config.threads = 1;
   const HybridSimulator reference_sim(metro(), sim_config);
   const SimResult reference = reference_sim.run(trace);
-  // The row-structured reference path (virtual Matcher dispatch, no SIMD
-  // gathers) must agree bitwise, spill accounting included.
+  // The row-structured reference path (virtual Matcher dispatch, no
+  // column gathers) must agree bitwise, spill accounting included.
   const SimResult rows = reference_sim.run_rows(trace);
   for (unsigned threads : {2u, 7u, 0u}) {
     sim_config.threads = threads;

@@ -1,23 +1,20 @@
 #!/usr/bin/env python3
-"""Vectorization drift gate for the sweep's scalar fallback loops.
+"""Vectorization drift gate for the sweep's hot loops.
 
-The sweep's hottest kernels are hand-vectorized (sim/sweep_kernels.h),
-but the *scalar twins* — what `CL_SIMD=off` and non-intrinsic builds
-run — plus a handful of hot loops outside the kernels still lean on the
-auto-vectorizer. Auto-vectorization is fragile: an innocent-looking edit
-(a new branch, an escaping pointer, a call the compiler can't inline)
-silently drops a loop back to scalar code and nobody notices until a
-bench regresses. This gate makes that drift loud.
+The sweep's kernels (sim/sweep_kernels.h) and a handful of hot loops
+around them are plain C++ that leans on the auto-vectorizer, which is
+fragile: an innocent-looking edit (a new branch, an escaping pointer, a
+call the compiler can't inline) silently drops a loop back to scalar
+code and nobody notices until a bench regresses. This gate makes that
+drift loud.
 
 How it works:
 
   1. Hot loops that must stay auto-vectorized carry a marker comment on
      the line directly above the `for`:  `// [vec:NAME]`.
   2. This script compiles the sweep translation units with GCC's
-     `-fopt-info-vec-optimized` remarks, `-DCL_SIMD_FORCE_SCALAR=1` (so
-     the scalar kernel twins are what the optimizer sees — the gate
-     checks the fallback, not the intrinsics) and `-march=x86-64-v4`
-     (the widest x86-64 baseline: the gate asks "is the loop shape
+     `-fopt-info-vec-optimized` remarks and `-march=x86-64-v4` (the
+     widest x86-64 baseline: the gate asks "is the loop shape
      vectorizable", independent of the host CPU — nothing is executed).
   3. Every marker must be matched by a `loop vectorized` remark within
      MATCH_WINDOW lines below it, and every name in ALLOWLIST must have
@@ -66,7 +63,6 @@ FLAGS = [
     "-std=c++20",
     "-O3",
     "-march=x86-64-v4",
-    "-DCL_SIMD_FORCE_SCALAR=1",
     "-ffp-contract=off",
     "-fopt-info-vec-optimized",
     "-Isrc",
@@ -152,12 +148,12 @@ def main() -> int:
 
     if failed:
         print(f"\nerror: {len(failed)} marked loop(s) no longer "
-              "auto-vectorize. Either restore the vectorizable shape, or "
-              "hand-vectorize the loop in sim/sweep_kernels.h and update "
-              "the allowlist.")
+              "auto-vectorize. Restore the vectorizable shape, or, if the "
+              "loop no longer needs to vectorize, drop its marker and its "
+              "allowlist entry.")
         return 1
     print(f"OK: all {len(ALLOWLIST)} marked loops vectorize "
-          "(scalar-fallback build, -march=x86-64-v4)")
+          "(-march=x86-64-v4)")
     return 0
 
 
