@@ -11,7 +11,11 @@
 // (metric `overload_threads_identical` = 1, gated in CI). A companion
 // overload-off run checks conservation: the spill only *moves* bits from
 // the peer lanes to the server lane, so total delivered volume matches
-// to FP rounding (`total_bits_conserved` = 1).
+// to FP rounding (`total_bits_conserved` = 1). The arrival sampler is
+// checked against its own profile: each viewer's first segment starts at
+// its arrival, so every positive phase's first-arrival count must lie
+// within 4σ of its Poisson mean ∫λ (`arrivals_in_band` = 1, gated in CI).
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -53,6 +57,45 @@ int main(int argc, char** argv) {
   std::cout << "scenario: preset '" << preset << "', " << viewers
             << " expected viewers, event at " << start_s << " s, "
             << trace.size() << " session segments (seed " << seed << ")\n";
+
+  // First arrivals per profile phase against ∫λ over the phase.
+  const std::vector<RatePhase>& phases = config.arrivals.phases();
+  std::vector<double> first_arrivals(phases.size(), 0.0);
+  std::vector<double> expected_arrivals(phases.size(), 0.0);
+  std::vector<bool> seen;
+  for (const SessionRecord& s : trace.sessions) {
+    if (s.user >= seen.size()) seen.resize(s.user + 1, false);
+    if (seen[s.user]) continue;  // churn resumes and shifts are not arrivals
+    seen[s.user] = true;
+    const auto next = std::upper_bound(
+        phases.begin(), phases.end(), s.start,
+        [](double t, const RatePhase& phase) { return t < phase.start_s; });
+    first_arrivals[static_cast<std::size_t>(next - phases.begin()) - 1] += 1;
+  }
+  const double span_s = trace.span.value();
+  bool arrivals_in_band = true;
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const double end = i + 1 < phases.size()
+                           ? std::min(phases[i + 1].start_s, span_s)
+                           : span_s;
+    const double mean =
+        phases[i].rate_per_s * (end - std::min(phases[i].start_s, end));
+    expected_arrivals[i] = mean;
+    if (mean > 0 && std::abs(first_arrivals[i] - mean) > 4 * std::sqrt(mean)) {
+      arrivals_in_band = false;
+    }
+  }
+  run.metrics().set("phase_first_arrivals", first_arrivals);
+  run.metrics().set("phase_expected_arrivals", expected_arrivals);
+  run.metrics().set("arrivals_in_band",
+                    static_cast<std::int64_t>(arrivals_in_band ? 1 : 0));
+  std::cout << "first arrivals per phase (expected):";
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    std::cout << ' ' << fmt(first_arrivals[i], 0) << " ("
+              << fmt(expected_arrivals[i], 0) << ')';
+  }
+  std::cout << (arrivals_in_band ? " — all within 4σ\n"
+                                 : " — OUTSIDE the 4σ band\n");
 
   SimConfig sim_config;
   sim_config.collect_swarms = false;

@@ -56,9 +56,9 @@ QueueSimResult QueueSimulator::run(Seconds horizon,
 
   // Min-heap of pending departure times; arrivals generated on the fly.
   // The constant-rate path draws exactly the sequence it always has; the
-  // profile path thins candidates against λ(t) (sim/event_engine.h) and
-  // returns +inf once candidates pass the horizon, which the `>= end`
-  // break absorbs.
+  // profile path inverts the cumulative rate Λ(t) (sim/event_engine.h),
+  // one draw per arrival, and returns +inf once the arrival would pass
+  // the horizon, which the `>= end` break absorbs.
   std::priority_queue<double, std::vector<double>, std::greater<>> departures;
   const auto sample_arrival = [&](double after) {
     return profile_ ? profile_->next_arrival(after, end, rng)

@@ -49,7 +49,7 @@ class QueueSimulator {
                  std::function<double(Rng&)> service_sampler);
 
   /// Non-homogeneous arrivals (Mt/G/∞): the profile's λ(t) drives the
-  /// arrival stream via thinning (RateProfile::next_arrival).
+  /// arrival stream (RateProfile::next_arrival).
   QueueSimulator(RateProfile arrivals,
                  std::function<double(Rng&)> service_sampler);
 

@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ext/live.h"
@@ -64,8 +66,7 @@ TEST(RateProfile, RejectsBadPhaseLists) {
 }
 
 TEST(RateProfile, NextArrivalIsMonotoneAndRespectsLimit) {
-  // A trailing zero-rate phase: without the limit the thinning loop
-  // would never accept another candidate past t = 100.
+  // A trailing zero-rate phase: nothing may land past t = 100.
   const RateProfile p({{0, 4.0}, {100, 0.0}});
   Rng rng(7);
   double t = 0;
@@ -82,6 +83,130 @@ TEST(RateProfile, NextArrivalIsMonotoneAndRespectsLimit) {
   // ~400 expected arrivals in [0, 100).
   EXPECT_GT(accepted, 300u);
   EXPECT_LT(accepted, 500u);
+}
+
+TEST(RateProfile, TrailingZeroPhaseEndsTheStreamWithoutALimit) {
+  // With limit = +inf the stream must still end once the positive phases
+  // are behind `now`, instead of searching the zero tail forever.
+  const RateProfile p({{0, 4.0}, {100, 0.0}});
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(7);
+  double t = 0;
+  std::size_t arrivals = 0;
+  while (true) {
+    const double next = p.next_arrival(t, inf, rng);
+    if (!std::isfinite(next)) break;
+    EXPECT_GT(next, t);
+    EXPECT_LT(next, 100.0);
+    t = next;
+    ++arrivals;
+  }
+  EXPECT_GT(arrivals, 300u);
+  EXPECT_LT(arrivals, 500u);
+  EXPECT_EQ(p.next_arrival(100.0, inf, rng), inf);
+  EXPECT_EQ(p.next_arrival(1e9, inf, rng), inf);
+}
+
+TEST(RateProfile, NextArrivalRejectsNaN) {
+  const RateProfile p = RateProfile::constant(1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(3);
+  EXPECT_THROW((void)p.next_arrival(nan, 10.0, rng), InvalidArgument);
+  EXPECT_THROW((void)p.next_arrival(0.0, nan, rng), InvalidArgument);
+}
+
+/// Index of the phase covering t (t at or after the first start).
+std::size_t phase_of(const RateProfile& p, double t) {
+  const auto& phases = p.phases();
+  std::size_t i = 0;
+  while (i + 1 < phases.size() && phases[i + 1].start_s <= t) ++i;
+  return i;
+}
+
+/// Chains next_arrival from `now` to `limit` for seeds 1..`seeds`,
+/// checks every returned time, and compares each phase's arrival count,
+/// summed over the seeds, to its Poisson mean seeds·∫λ over [now, limit)
+/// within 4σ.
+void expect_phase_counts_in_band(const RateProfile& p, double now,
+                                 double limit, std::uint64_t seeds,
+                                 const std::string& label) {
+  const auto& phases = p.phases();
+  std::vector<std::uint64_t> counts(phases.size(), 0);
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    Rng rng(seed);
+    double t = now;
+    while (true) {
+      const double next = p.next_arrival(t, limit, rng);
+      if (!std::isfinite(next)) break;
+      ASSERT_GT(next, t) << label;
+      ASSERT_LT(next, limit) << label;
+      ASSERT_GT(p.rate_at(next), 0.0) << label << " t=" << next;
+      ++counts[phase_of(p, next)];
+      t = next;
+    }
+  }
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const double begin = std::max(phases[i].start_s, now);
+    const double end = std::min(
+        i + 1 < phases.size() ? phases[i + 1].start_s : limit, limit);
+    const double mean = static_cast<double>(seeds) * phases[i].rate_per_s *
+                        std::max(end - begin, 0.0);
+    if (mean == 0) {
+      EXPECT_EQ(counts[i], 0u) << label << " phase " << i;
+      continue;
+    }
+    EXPECT_NEAR(static_cast<double>(counts[i]), mean, 4 * std::sqrt(mean))
+        << label << " phase " << i;
+  }
+}
+
+TEST(RateProfile, PerPhaseCountsMatchExpectedArrivals) {
+  const double e = 7200;
+  const RateProfile spike =
+      flash_crowd_preset("spike", 2000, e, 1).arrivals;
+  const RateProfile ramp = flash_crowd_preset("ramp", 2000, e, 1).arrivals;
+  const RateProfile late({{50, 2.0}, {80, 0.0}, {120, 5.0}, {150, 1.0}});
+  // The whole day from 0, from a phase boundary, and from mid-phase.
+  expect_phase_counts_in_band(spike, 0, 86400, 40, "spike from 0");
+  expect_phase_counts_in_band(spike, e, 86400, 40, "spike from kickoff");
+  expect_phase_counts_in_band(spike, e + 90, 86400, 40, "spike mid-burst");
+  expect_phase_counts_in_band(ramp, 0, 86400, 40, "ramp from 0");
+  expect_phase_counts_in_band(ramp, e - 1200, 86400, 40, "ramp on a step");
+  expect_phase_counts_in_band(ramp, e - 900, e + 300, 40, "ramp windowed");
+  expect_phase_counts_in_band(late, 0, 400, 400, "late from 0");
+  expect_phase_counts_in_band(late, 80, 400, 400, "late on a zero phase");
+  expect_phase_counts_in_band(late, 130, 140, 400, "late inside one phase");
+}
+
+TEST(RateProfile, ArrivalIsStrictlyAfterNowEvenWhenTheGapRoundsAway) {
+  // At now = 1e20 one ulp is 16384 s, so now + E/λ rounds back to now for
+  // any realistic E — the same branch a u = 0 draw (E = 0) takes.
+  const RateProfile p = RateProfile::constant(1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(5);
+  for (int i = 0; i < 100; ++i) {
+    const double next = p.next_arrival(1e20, inf, rng);
+    EXPECT_EQ(next, std::nextafter(1e20, inf));
+  }
+}
+
+TEST(RateProfile, EachCallConsumesExactlyOneDraw) {
+  const RateProfile p({{10, 0.0}, {100, 5.0}, {200, 1.0}, {300, 0.0}});
+  const double inf = std::numeric_limits<double>::infinity();
+  // Before the profile, mid-phase, across a boundary, in the zero tail,
+  // with an expired window, and with no limit.
+  const std::vector<std::pair<double, double>> calls{
+      {0, 1000}, {150, 1000}, {199.9, 250}, {400, 1000}, {50, 40},
+      {120, inf}, {350, inf}};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const auto& [now, limit] : calls) {
+      Rng rng(seed);
+      Rng expected = rng;
+      (void)p.next_arrival(now, limit, rng);
+      (void)expected.exponential(1.0);
+      EXPECT_EQ(rng(), expected()) << "now " << now << " limit " << limit;
+    }
+  }
 }
 
 // ---- EventQueue ----
@@ -125,6 +250,67 @@ TEST(QueueSimBurst, ConstantProfileMatchesConstantRateStatistics) {
                                   Seconds{100});
   const auto result = flat.run(Seconds{2e6}, 11);
   EXPECT_NEAR(result.time_average_occupancy, c, 0.15);
+}
+
+TEST(QueueSimBurst, ConstantProfileIsBitIdenticalToConstantRate) {
+  // Inversion through one phase computes after + (−log1p(−u))/r, the
+  // constant-rate path's own arithmetic, so the runs agree bit for bit.
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    const auto via_profile =
+        QueueSimulator::mm_infinity(RateProfile::constant(0.04),
+                                    Seconds{100})
+            .run(Seconds{50000}, seed);
+    const auto via_rate =
+        QueueSimulator::mm_infinity(0.04, Seconds{100})
+            .run(Seconds{50000}, seed);
+    EXPECT_EQ(via_profile.arrivals, via_rate.arrivals) << seed;
+    EXPECT_EQ(via_profile.time_average_occupancy,
+              via_rate.time_average_occupancy) << seed;
+    EXPECT_EQ(via_profile.p_empty, via_rate.p_empty) << seed;
+    EXPECT_EQ(via_profile.expected_excess, via_rate.expected_excess) << seed;
+    EXPECT_EQ(via_profile.occupancy_pmf, via_rate.occupancy_pmf) << seed;
+  }
+}
+
+TEST(QueueSimBurst, SpikeOccupancyMatchesPoissonSwarmTheory) {
+  // Mt/M/∞ from an empty start: E[L(t)] = ∫₀ᵗ λ(s)e^{−(t−s)/μ}ds, so the
+  // time-averaged occupancy has mean (1/T)∫₀ᵀ λ(s)·μ·(1 − e^{−(T−s)/μ})ds,
+  // in closed form per constant phase. The horizon cuts the stragglers'
+  // phase short, so the oracle weighs where in the spike arrivals land.
+  const double e = 1800;
+  const double mu = 300;
+  const double horizon = e + 400;
+  const RateProfile spike = flash_crowd_preset("spike", 2000, e, 1).arrivals;
+  double oracle = 0;
+  const auto& phases = spike.phases();
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const double a = std::min(phases[i].start_s, horizon);
+    const double b = i + 1 < phases.size()
+                         ? std::min(phases[i + 1].start_s, horizon)
+                         : horizon;
+    oracle += phases[i].rate_per_s * mu *
+              ((b - a) - mu * (std::exp(-(horizon - b) / mu) -
+                               std::exp(-(horizon - a) / mu)));
+  }
+  oracle /= horizon;
+
+  const auto sim = QueueSimulator::mm_infinity(spike, Seconds{mu});
+  const int runs = 60;
+  double sum = 0;
+  double sum_sq = 0;
+  for (int seed = 1; seed <= runs; ++seed) {
+    const double occupancy =
+        sim.run(Seconds{horizon}, static_cast<std::uint64_t>(seed))
+            .time_average_occupancy;
+    sum += occupancy;
+    sum_sq += occupancy * occupancy;
+  }
+  const double mean = sum / runs;
+  const double sd = std::sqrt((sum_sq - runs * mean * mean) / (runs - 1));
+  const double band = 4 * sd / std::sqrt(static_cast<double>(runs));
+  EXPECT_NEAR(mean, oracle, band);
+  // The band is tight enough to see a misplaced phase.
+  EXPECT_LT(band, 0.02 * oracle);
 }
 
 // ---- flash-crowd generator ----
@@ -261,6 +447,29 @@ TEST(FlashCrowd, BinaryRoundTripIsByteExact) {
   EXPECT_EQ(back.metro_name, metro().name());
   EXPECT_EQ(serialize_trace_binary(back), serialized);
   std::filesystem::remove(path);
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FlashCrowd, OutputDigestPinned) {
+  // FNV-1a digests of the serialized traces, pinned when arrivals moved
+  // to cumulative-rate inversion. Any change to the generator's draw
+  // sequence moves them: re-pin only on purpose.
+  const Trace spike = generate_flash_crowd(
+      metro(), flash_crowd_preset("spike", 3000, 7200, 1), 11);
+  EXPECT_EQ(spike.size(), 4534u);
+  EXPECT_EQ(fnv1a(serialize_trace_binary(spike)), 0xab8e62328355ae55ULL);
+  const Trace ramp = generate_flash_crowd(
+      metro(), flash_crowd_preset("ramp", 3000, 7200, 1), 12);
+  EXPECT_EQ(ramp.size(), 3493u);
+  EXPECT_EQ(fnv1a(serialize_trace_binary(ramp)), 0x4aa9e34a0db93f98ULL);
 }
 
 // ---- overload model ----
