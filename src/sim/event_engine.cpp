@@ -33,14 +33,15 @@ RateProfile::RateProfile(std::vector<RatePhase> phases)
     : phases_(std::move(phases)) {
   CL_EXPECTS(!phases_.empty());
   double prev = -1;
+  double max_rate = 0;
   for (const RatePhase& phase : phases_) {
     CL_EXPECTS(phase.start_s >= 0);
     CL_EXPECTS(phase.start_s > prev);
     CL_EXPECTS(phase.rate_per_s >= 0);
     prev = phase.start_s;
-    max_rate_ = std::max(max_rate_, phase.rate_per_s);
+    max_rate = std::max(max_rate, phase.rate_per_s);
   }
-  CL_EXPECTS(max_rate_ > 0);
+  CL_EXPECTS(max_rate > 0);
 }
 
 RateProfile RateProfile::constant(double rate_per_s) {

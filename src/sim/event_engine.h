@@ -59,9 +59,6 @@ class RateProfile {
   /// λ(t) — 0 before the first phase, else the covering phase's rate.
   [[nodiscard]] double rate_at(double t) const;
 
-  /// max over phases of rate_per_s — the peak intensity.
-  [[nodiscard]] double max_rate() const { return max_rate_; }
-
   /// Expected arrivals in [0, horizon): ∫λ(t)dt.
   [[nodiscard]] double expected_arrivals(double horizon_s) const;
 
@@ -77,7 +74,6 @@ class RateProfile {
 
  private:
   std::vector<RatePhase> phases_;
-  double max_rate_ = 0;
 };
 
 /// Min-heap of (time, payload) events with deterministic FIFO tie-break:

@@ -17,8 +17,7 @@ QueueSimulator::QueueSimulator(double arrival_rate,
 
 QueueSimulator::QueueSimulator(RateProfile arrivals,
                                std::function<double(Rng&)> service_sampler)
-    : arrival_rate_(arrivals.max_rate()),
-      profile_(std::move(arrivals)),
+    : profile_(std::move(arrivals)),
       service_(std::move(service_sampler)) {
   CL_EXPECTS(static_cast<bool>(service_));
 }

@@ -71,7 +71,7 @@ class QueueSimulator {
   [[nodiscard]] QueueSimResult run(Seconds horizon, std::uint64_t seed) const;
 
  private:
-  double arrival_rate_;
+  double arrival_rate_ = 0;  ///< constant-rate mode only
   std::optional<RateProfile> profile_;
   std::function<double(Rng&)> service_;
 };

@@ -63,6 +63,30 @@ constexpr std::uint64_t kLeaveIdxMask = (std::uint64_t{1} << kLeaveIdxBits) - 1;
 constexpr std::uint64_t kMaxPackWindow = std::uint64_t{1}
                                          << (64 - kLeaveIdxBits);
 
+/// Walks the windows [wa, wb) hour by hour and calls fold(row, windows)
+/// with each hour's per-ISP row of out.hourly and the number of windows
+/// spent in that hour. The partial's grid grows lazily: only hours the
+/// swarm touches get a row (HybridSimulator::run pads the merged result).
+template <typename Fold>
+void fold_by_hour(std::uint64_t wa, std::uint64_t wb, double dt,
+                  std::size_t max_hours, std::size_t isps, SimResult& out,
+                  Fold&& fold) {
+  std::uint64_t w = wa;
+  while (w < wb) {
+    const auto hour =
+        static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
+    const auto hour_end_window = static_cast<std::uint64_t>(
+        std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
+    const std::uint64_t chunk_end = std::min(wb, hour_end_window);
+    CL_ENSURES(hour < max_hours);
+    if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
+    auto& row = out.hourly[hour];
+    if (row.size() < isps) row.resize(isps);
+    fold(row, static_cast<double>(chunk_end - w));
+    w = chunk_end;
+  }
+}
+
 double seconds_between(std::chrono::steady_clock::time_point t0,
                        std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -104,95 +128,10 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
       out.users[a.user].downloaded += Bits{demand * total_windows};
     }
     if (config_.collect_hourly) {
-      std::uint64_t w = w0;
-      while (w < w1) {
-        const auto hour =
-            static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
-        const auto hour_end_window = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
-        const std::uint64_t chunk_end = std::min(w1, hour_end_window);
-        const auto chunk = static_cast<double>(chunk_end - w);
-        CL_ENSURES(hour < max_hours);
-        if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
-        auto& row = out.hourly[hour];
-        if (row.size() < metro_->isp_count()) {
-          row.resize(metro_->isp_count());
-        }
-        traffic_lanes(row[a.isp])[0] += demand * chunk;
-        w = chunk_end;
-      }
-    }
-    return;
-  }
-  if (lone_flat_ && active_.size() == 2 && !config_.overload) {
-    // Pair stretch, closed form. With two peers in one ISP the flat
-    // allocator's counting degenerates: the non-seed peer moves
-    // d = ratio·β·Δτ to the first level the pair shares (ExP, else PoP,
-    // else core), and whichever bucket serves, it has exactly two
-    // members — both uploads are d / 2.0, the same divide the counting
-    // path performs (cnt cast 2u → 2.0). Lanes that stay zero fold as
-    // +0.0 adds either way, so fold_traffic on these stack rows executes
-    // the full path's exact add sequence.
-    const ActivePeer& a0 = active_[0];
-    const ActivePeer& a1 = active_[1];
-    const std::size_t seed =
-        (a1.join_window < a0.join_window ||
-         (a1.join_window == a0.join_window && a1.session < a0.session))
-            ? 1
-            : 0;
-    const std::size_t other = 1 - seed;
-    double al[2][6] = {};  // server, peer[0..2], cross_isp, upload
-    al[0][0] = a0.beta * dt;
-    al[1][0] = a1.beta * dt;
-    const double d = std::min(config_.q_over_beta, 1.0) * al[other][0];
-    if (d > 0) {
-      const ActivePeer& ao = active_[other];
-      const ActivePeer& as = active_[seed];
-      const std::size_t lvl =
-          ao.exp == as.exp
-              ? index(LocalityLevel::kExchangePoint)
-              : (ao.pop == as.pop ? index(LocalityLevel::kPop)
-                                  : index(LocalityLevel::kCore));
-      al[other][1 + lvl] = d;
-      al[other][0] -= d;
-      const double up = d / 2.0;
-      al[0][5] = up;
-      al[1][5] = up;
-    }
-    const auto total_windows = static_cast<double>(w1 - w0);
-    for (std::size_t i = 0; i < 2; ++i) {
-      sweep_kernels::fold_traffic(traffic_lanes(swarm_traffic), al[i],
-                                  total_windows);
-      if (config_.collect_per_user) {
-        UserTraffic& ut = out.users[active_[i].user];
-        // downloaded_bits() order: (server + cross), then the peer lanes.
-        const double down = al[i][0] + al[i][4] + al[i][1] + al[i][2] +
-                            al[i][3];
-        ut.downloaded += Bits{down * total_windows};
-        ut.uploaded += Bits{al[i][5] * total_windows};
-      }
-    }
-    if (config_.collect_hourly) {
-      std::uint64_t w = w0;
-      while (w < w1) {
-        const auto hour =
-            static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
-        const auto hour_end_window = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
-        const std::uint64_t chunk_end = std::min(w1, hour_end_window);
-        const auto chunk = static_cast<double>(chunk_end - w);
-        CL_ENSURES(hour < max_hours);
-        if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
-        auto& row = out.hourly[hour];
-        if (row.size() < metro_->isp_count()) {
-          row.resize(metro_->isp_count());
-        }
-        for (std::size_t i = 0; i < 2; ++i) {
-          sweep_kernels::fold_traffic(traffic_lanes(row[active_[i].isp]),
-                                      al[i], chunk);
-        }
-        w = chunk_end;
-      }
+      fold_by_hour(w0, w1, dt, max_hours, metro_->isp_count(), out,
+                   [&](std::vector<TrafficBreakdown>& row, double windows) {
+                     traffic_lanes(row[a.isp])[0] += demand * windows;
+                   });
     }
     return;
   }
@@ -281,28 +220,14 @@ void SwarmSweep::process_stretch(Allocate& allocate, std::uint64_t w0,
   if (config_.collect_hourly) {
     const auto fold_hourly = [&](const std::vector<PeerAllocation>& alloc_row,
                                  std::uint64_t wa, std::uint64_t wb) {
-      std::uint64_t w = wa;
-      while (w < wb) {
-        const auto hour =
-            static_cast<std::size_t>(static_cast<double>(w) * dt / 3600.0);
-        const auto hour_end_window = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(hour + 1) * 3600.0 / dt));
-        const std::uint64_t chunk_end = std::min(wb, hour_end_window);
-        const auto chunk = static_cast<double>(chunk_end - w);
-        // Grow the partial's grid lazily: only hours this swarm touches
-        // get a row (HybridSimulator::run pads the merged result).
-        CL_ENSURES(hour < max_hours);
-        if (hour >= out.hourly.size()) out.hourly.resize(hour + 1);
-        auto& row = out.hourly[hour];
-        if (row.size() < metro_->isp_count()) {
-          row.resize(metro_->isp_count());
-        }
-        for (std::size_t i = 0; i < active_.size(); ++i) {
-          sweep_kernels::fold_traffic(traffic_lanes(row[active_[i].isp]),
-                                      alloc_lanes(alloc_row[i]), chunk);
-        }
-        w = chunk_end;
-      }
+      fold_by_hour(wa, wb, dt, max_hours, metro_->isp_count(), out,
+                   [&](std::vector<TrafficBreakdown>& row, double windows) {
+                     for (std::size_t i = 0; i < active_.size(); ++i) {
+                       sweep_kernels::fold_traffic(
+                           traffic_lanes(row[active_[i].isp]),
+                           alloc_lanes(alloc_row[i]), windows);
+                     }
+                   });
     };
     fold_hourly(first_alloc, w0, wm);
     if (wm < w1) fold_hourly(alloc_, wm, w1);

@@ -138,9 +138,12 @@ class SwarmSweep {
   std::unique_ptr<Matcher> matcher_;
   SweepKernelTiming* timing_ = nullptr;
   // True while sweeping on the flat-allocator route (sweep() sets it per
-  // swarm; sweep_rows keeps it off so the reference path stays generic):
-  // lone-peer stretches — the dominant shape in sparse swarms — then
-  // bypass allocation entirely (see process_stretch's fast path).
+  // swarm; sweep_rows keeps it off so the reference path stays generic).
+  // It enables the sweep's one closed-form route: a lone-peer stretch —
+  // the dominant shape in sparse swarms — is served entirely by the CDN
+  // (server lane β·Δτ per window, every other lane zero), so
+  // process_stretch folds that lane directly and skips the allocation.
+  // Stretches of two or more peers always run the allocator.
   bool lone_flat_ = false;
 
   // Scratch, reused across swarms (cleared, not reallocated).

@@ -1,27 +1,11 @@
 #include "util/numa.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace cl {
 
 namespace {
-
-/// True when CL_NUMA=off (or =0) asks for single-node behaviour — an
-/// escape hatch for containers whose sysfs view disagrees with the CPU
-/// set the process is actually allowed to run on.
-bool numa_disabled_by_env() {
-  const char* value = std::getenv("CL_NUMA");
-  if (value == nullptr) return false;
-  const std::string v(value);
-  return v == "off" || v == "0" || v == "OFF";
-}
 
 std::string read_first_line(const std::string& path) {
   std::ifstream in(path);
@@ -33,17 +17,14 @@ std::string read_first_line(const std::string& path) {
 
 NumaTopology discover() {
   NumaTopology topo;
-  if (!numa_disabled_by_env()) {
-    // /sys/devices/system/node/online lists the online node ids as a
-    // range list ("0" or "0-1,4"); each node exposes its CPU set in
-    // node<N>/cpulist. Any parse failure falls through to a single node.
-    const std::vector<int> nodes =
-        parse_cpu_list(read_first_line("/sys/devices/system/node/online"));
-    for (const int node : nodes) {
-      topo.node_cpus.push_back(parse_cpu_list(
-          read_first_line("/sys/devices/system/node/node" +
-                          std::to_string(node) + "/cpulist")));
-    }
+  // /sys/devices/system/node/online lists the online node ids as a range
+  // list ("0" or "0-1,4"); each node exposes its CPU set in
+  // node<N>/cpulist. Any parse failure falls through to a single node.
+  const std::vector<int> nodes =
+      parse_cpu_list(read_first_line("/sys/devices/system/node/online"));
+  for (const int node : nodes) {
+    topo.node_cpus.push_back(parse_cpu_list(read_first_line(
+        "/sys/devices/system/node/node" + std::to_string(node) + "/cpulist")));
   }
   if (topo.node_cpus.empty()) topo.node_cpus.emplace_back();
   return topo;
@@ -83,25 +64,6 @@ std::vector<int> parse_cpu_list(const std::string& text) {
 const NumaTopology& numa_topology() {
   static const NumaTopology topo = discover();
   return topo;
-}
-
-unsigned numa_fold_nodes() { return numa_topology().nodes(); }
-
-bool pin_current_thread_to_node(unsigned node) {
-  const NumaTopology& topo = numa_topology();
-  if (topo.nodes() <= 1 || node >= topo.nodes()) return false;
-  const std::vector<int>& cpus = topo.node_cpus[node];
-  if (cpus.empty()) return false;
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (const int cpu : cpus) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
-  }
-  return pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
-#else
-  return false;
-#endif
 }
 
 }  // namespace cl

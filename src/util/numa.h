@@ -1,20 +1,10 @@
-// numa.h — best-effort NUMA topology discovery and worker placement.
+// numa.h — best-effort NUMA topology discovery.
 //
-// The parallel layer (util/parallel.h) wants three things from NUMA:
-//
-//  * how many nodes the machine has (sysfs on Linux; 1 everywhere else),
-//  * a deterministic worker→node placement policy (round-robin), and
-//  * a way to pin the calling thread to one node's CPU set.
-//
-// Everything here is best-effort: on single-node machines, non-Linux
-// hosts, or when the environment variable CL_NUMA=off is set, discovery
-// collapses to one node and pinning becomes a no-op — the simulator's
-// results never depend on whether pinning succeeded, only its locality.
-//
-// The *fold structure* of deterministic reductions does depend on the
-// node count (see parallel.h: socket-local partial folding), which is why
-// numa_fold_nodes() is separated from the physical topology: tests force
-// a node count to exercise the multi-node fold on single-node CI hosts.
+// Reports how many NUMA nodes the machine has and which CPUs each holds
+// (sysfs on Linux; one node everywhere else). It is descriptive only:
+// nothing in the simulator pins threads or shapes a reduction by node
+// count, so results never depend on it. Benchmark tooling records the
+// node count in its machine fingerprint.
 #pragma once
 
 #include <string>
@@ -38,25 +28,7 @@ struct NumaTopology {
 
 /// The machine's NUMA topology, parsed once from
 /// /sys/devices/system/node/ (Linux). Falls back to a single node holding
-/// no explicit CPU list when sysfs is unavailable, and collapses to a
-/// single node when CL_NUMA=off (or =0) is set in the environment.
+/// no explicit CPU list when sysfs is unavailable.
 [[nodiscard]] const NumaTopology& numa_topology();
-
-/// Node count used to shape socket-local partial folds in
-/// util/parallel.h. Equals numa_topology().nodes(); kept as its own entry
-/// point so the fold structure has one documented source of truth.
-[[nodiscard]] unsigned numa_fold_nodes();
-
-/// Round-robin worker→node placement: worker w runs on node w % nodes.
-/// Pure function of its arguments (unit-tested without hardware).
-[[nodiscard]] constexpr unsigned numa_node_for_worker(unsigned worker,
-                                                      unsigned nodes) {
-  return nodes > 1 ? worker % nodes : 0;
-}
-
-/// Pins the calling thread to `node`'s CPU set. Returns false (and leaves
-/// affinity untouched) when the machine has one node, the node id is out
-/// of range, the node has no CPUs, or the platform lacks thread affinity.
-bool pin_current_thread_to_node(unsigned node);
 
 }  // namespace cl

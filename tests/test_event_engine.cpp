@@ -40,7 +40,6 @@ TEST(RateProfile, ConstantIsFlat) {
   const RateProfile p = RateProfile::constant(2.5);
   EXPECT_DOUBLE_EQ(p.rate_at(0), 2.5);
   EXPECT_DOUBLE_EQ(p.rate_at(1e6), 2.5);
-  EXPECT_DOUBLE_EQ(p.max_rate(), 2.5);
   EXPECT_DOUBLE_EQ(p.expected_arrivals(100), 250.0);
 }
 
@@ -51,7 +50,6 @@ TEST(RateProfile, PiecewiseStepsAndZeroBeforeFirstPhase) {
   EXPECT_DOUBLE_EQ(p.rate_at(100), 5.0);
   EXPECT_DOUBLE_EQ(p.rate_at(150), 5.0);
   EXPECT_DOUBLE_EQ(p.rate_at(1e9), 1.0);
-  EXPECT_DOUBLE_EQ(p.max_rate(), 5.0);
   // 0·90 + 5·100 + 1·50 over [0, 250).
   EXPECT_DOUBLE_EQ(p.expected_arrivals(250), 550.0);
 }

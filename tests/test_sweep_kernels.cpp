@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "sim/swarm_sweep.h"
@@ -222,14 +223,15 @@ TEST(SweepKernels, FoldTrafficMatchesMultiplyAddBitwise) {
 const Metro& london() { return MetroRegistry::instance().get("london_top5"); }
 
 /// One hand-built single-ISP swarm (ISP 0 of london_top5): session i
-/// sits at ExP `exps[i]`; starts fall in the first hour, ascending, and
-/// durations run up to `max_duration` seconds — by default long enough
-/// that stretches hold many peers at once.
+/// sits at ExP `exps[i]`; starts fall in the first `start_span` seconds
+/// (by default the first hour), ascending, and durations run up to
+/// `max_duration` seconds — by default long enough that stretches hold
+/// many peers at once.
 Trace make_swarm(const std::vector<std::uint32_t>& exps, std::uint64_t seed,
-                 double max_duration = 7200.0) {
+                 double max_duration = 7200.0, double start_span = 3600.0) {
   Rng rng(seed);
   std::vector<double> starts(exps.size());
-  for (double& s : starts) s = rng.uniform(0.0, 3600.0);
+  for (double& s : starts) s = rng.uniform(0.0, start_span);
   std::sort(starts.begin(), starts.end());
   Trace trace;
   trace.span = Seconds{86400.0};
@@ -368,6 +370,52 @@ TEST(SweepFlatAllocator, SeedAloneInItsBucketMatchRowsBitwise) {
   Trace trace = make_swarm(exps, 4);
   trace.sessions[0].start = 0.0;
   trace.sessions[0].duration = 86000.0;
+  expect_sweep_matches_rows(trace);
+}
+
+TEST(SweepFlatAllocator, SparseLoneAndPairStretchesMatchRowsBitwise) {
+  // Short sessions spread over six hours: most stretches hold one or two
+  // peers, the shapes the sweep's lone-peer route and its smallest
+  // allocations see in sparse swarms. Peers sit at ExP `a`, at another
+  // ExP of a's PoP, or in another PoP, so pairs are served at the ExP,
+  // the PoP or the core.
+  const IspTopology& isp = london().isp(0);
+  const std::uint32_t a = 0;
+  std::uint32_t same_pop = a;
+  std::uint32_t other_pop = a;
+  for (std::uint32_t e = 1; e < isp.exchange_points(); ++e) {
+    const bool shares_pop = isp.pop_of(e) == isp.pop_of(a);
+    if (same_pop == a && shares_pop) same_pop = e;
+    if (other_pop == a && !shares_pop) other_pop = e;
+  }
+  ASSERT_NE(same_pop, a);
+  ASSERT_NE(other_pop, a);
+  const std::array<std::uint32_t, 3> partner{a, same_pop, other_pop};
+  Rng rng(7);
+  std::vector<std::uint32_t> exps(150);
+  for (auto& e : exps) e = partner[rng.uniform_index(partner.size())];
+  Trace trace = make_swarm(exps, 8, /*max_duration=*/300.0,
+                           /*start_span=*/6 * 3600.0);
+
+  // One isolated pair of each shape after the random sessions have left
+  // (they end by 6 h + 300 s), each straddling an hour boundary with
+  // starts off the window grid.
+  for (std::size_t shape = 0; shape < partner.size(); ++shape) {
+    const double boundary = 3600.0 * static_cast<double>(7 + shape);
+    for (const auto& [exp, start, duration] :
+         {std::tuple{a, boundary - 47.3, 101.0},
+          std::tuple{partner[shape], boundary - 21.6, 58.9}}) {
+      SessionRecord s;
+      s.user = static_cast<std::uint32_t>(trace.sessions.size());
+      s.household = s.user;
+      s.isp = 0;
+      s.exp = exp;
+      s.bitrate = static_cast<BitrateClass>(shape % kBitrateClasses);
+      s.start = start;
+      s.duration = duration;
+      trace.sessions.push_back(s);
+    }
+  }
   expect_sweep_matches_rows(trace);
 }
 

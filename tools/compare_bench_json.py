@@ -22,6 +22,9 @@ metric of the current run, with no baseline involved — e.g.
 `--min micro_sweep:soa_over_row_speedup:5.0` pins the SoA sweep's
 speedup bar so a hot-path regression fails even on the very first run
 of a branch (where the wall-time comparison has nothing to compare).
+`--max bench:metric:value` is the matching ceiling, e.g.
+`--max fig2:mean_abs_gap:0.03` bounds how far the simulated savings may
+stray from the paper's closed-form model.
 
 Exit codes: 0 ok (including "no baseline yet"), 1 regression or missing
 required bench, 2 usage.
@@ -52,6 +55,41 @@ def load_benches(directory: Path) -> dict:
     return benches
 
 
+def check_bounds(specs: list, flag: str, current: dict):
+    """Checks `--min` (flag "--min") or `--max` BENCH:METRIC:VALUE specs
+    against the current run. Returns the list of failures, or None after
+    printing a usage error."""
+    is_floor = flag == "--min"
+    kind = "floor" if is_floor else "ceiling"
+    failures = []
+    for spec in specs:
+        parts = spec.rsplit(":", 2)
+        if len(parts) != 3:
+            print(f"error: bad {flag} spec {spec!r} "
+                  "(want BENCH:METRIC:VALUE)")
+            return None
+        bench, metric, raw = parts
+        try:
+            bound = float(raw)
+        except ValueError:
+            print(f"error: bad {flag} value in {spec!r}")
+            return None
+        value = current.get(bench, {}).get("metrics", {}).get(metric)
+        if not isinstance(value, (int, float)):
+            failures.append(f"{bench}:{metric} missing from current "
+                            f"run ({kind} {bound:g})")
+            continue
+        ok = value >= bound if is_floor else value <= bound
+        status = "ok" if ok else "FAIL"
+        print(f"{kind} {bench}:{metric} = {value:g} "
+              f"({'>=' if is_floor else '<='} {bound:g}) ... {status}")
+        if not ok:
+            failures.append(f"{bench}:{metric} = {value:g} "
+                            f"{'below floor' if is_floor else 'above ceiling'}"
+                            f" {bound:g}")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True, type=Path,
@@ -73,6 +111,12 @@ def main() -> int:
                              "micro_sweep:soa_over_row_speedup:5.0 — fails "
                              "when the bench/metric is missing or the value "
                              "is below the floor (repeatable)")
+    parser.add_argument("--max", action="append", default=[],
+                        dest="ceilings", metavar="BENCH:METRIC:VALUE",
+                        help="absolute ceiling on a current-run metric, "
+                             "e.g. fig2:mean_abs_gap:0.03 — fails when the "
+                             "bench/metric is missing or the value is above "
+                             "the ceiling (repeatable)")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="allowed fractional wall-time increase for "
                              "guarded benches (default 0.25 = +25%%)")
@@ -107,35 +151,16 @@ def main() -> int:
             print(f"FAIL: required bench {name} has no metrics object")
             return 1
 
-    floor_failures = []
-    for spec in args.floors:
-        parts = spec.rsplit(":", 2)
-        if len(parts) != 3:
-            print(f"error: bad --min spec {spec!r} "
-                  "(want BENCH:METRIC:VALUE)")
+    for flag, specs in (("--min", args.floors), ("--max", args.ceilings)):
+        failures = check_bounds(specs, flag, current)
+        if failures is None:
             return 2
-        bench, metric, raw = parts
-        try:
-            floor = float(raw)
-        except ValueError:
-            print(f"error: bad --min value in {spec!r}")
-            return 2
-        value = current.get(bench, {}).get("metrics", {}).get(metric)
-        if not isinstance(value, (int, float)):
-            floor_failures.append(f"{bench}:{metric} missing from current "
-                                  f"run (floor {floor:g})")
-            continue
-        status = "ok" if value >= floor else "FAIL"
-        print(f"floor {bench}:{metric} = {value:g} "
-              f"(>= {floor:g}) ... {status}")
-        if value < floor:
-            floor_failures.append(f"{bench}:{metric} = {value:g} "
-                                  f"below floor {floor:g}")
-    if floor_failures:
-        print("FAIL: metric floors not met:")
-        for failure in floor_failures:
-            print(f"  {failure}")
-        return 1
+        if failures:
+            print(f"FAIL: metric {'floors' if flag == '--min' else 'ceilings'}"
+                  " not met:")
+            for failure in failures:
+                print(f"  {failure}")
+            return 1
 
     if not args.baseline.is_dir():
         print(f"no baseline at {args.baseline} — first run, nothing to "
