@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   config.threads = run.threads();
   bench::print_trace_scale(config);
   TraceGenerator gen(config, bench::metro());
-  const Trace trace = gen.generate();
+  const TraceView trace =
+      TraceView::from_trace(gen.generate(), run.threads());
   run.set_items(static_cast<double>(trace.size()) * 5, "sessions");
 
   SimConfig sim_config;
@@ -33,8 +34,8 @@ int main(int argc, char** argv) {
   TextTable table({"preload adoption", "offload G", "S (Valancius)",
                    "S (Baliga)"});
   for (double adoption : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    const Trace shifted = apply_preload(trace, {.adoption = adoption},
-                                        config.seed);
+    const TraceView shifted = apply_preload(
+        trace, {.adoption = adoption}, config.seed, run.threads());
     const auto result = sim.run(shifted);
     std::vector<std::string> row{fmt_pct(adoption, 0)};
     row.push_back(fmt_pct(result.total.offload_fraction()));

@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   config.threads = run.threads();
   bench::print_trace_scale(config);
   TraceGenerator gen(config, bench::metro());
-  const Trace trace = gen.generate();
+  const TraceView trace =
+      TraceView::from_trace(gen.generate(), run.threads());
   run.set_items(static_cast<double>(trace.size()), "sessions");
 
   // The paper's Fig. 3 is per *content item*: aggregate the simulator's

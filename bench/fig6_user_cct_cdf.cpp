@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   config.threads = run.threads();
   bench::print_trace_scale(config);
   TraceGenerator gen(config, bench::metro());
-  const Trace trace = gen.generate();
+  const TraceView trace =
+      TraceView::from_trace(gen.generate(), run.threads());
   run.set_items(static_cast<double>(trace.size()), "sessions");
 
   SimConfig sim_config;

@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
     TraceConfig config = TraceConfig::london_month_scaled(days);
     config.metro = preset.name;
     config.threads = run.threads();
-    const Trace trace = TraceGenerator(config, metro).generate();
+    const TraceView trace =
+        TraceView::from_trace(TraceGenerator(config, metro).generate());
     total_sessions += static_cast<double>(trace.size());
 
     SimConfig sim_config;

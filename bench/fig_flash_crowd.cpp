@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   const FlashCrowdConfig config =
       flash_crowd_preset(preset, viewers, start_s, days);
   const Trace trace = generate_flash_crowd(metro, config, seed);
+  const TraceView view = TraceView::from_trace(trace, run.threads());
   run.set_items(static_cast<double>(trace.size()), "sessions");
   std::cout << "scenario: preset '" << preset << "', " << viewers
             << " expected viewers, event at " << start_s << " s, "
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
   std::vector<SimResult> results;
   for (unsigned threads : thread_counts) {
     sim_config.threads = threads;
-    results.push_back(HybridSimulator(metro, sim_config).run(trace));
+    results.push_back(HybridSimulator(metro, sim_config).run(view));
   }
   const SimResult& result = results.front();
   bool identical = true;
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
   // redistribution rounds per peer, so bitwise equality is not expected).
   sim_config.overload = false;
   sim_config.threads = run.threads();
-  const SimResult baseline = HybridSimulator(metro, sim_config).run(trace);
+  const SimResult baseline = HybridSimulator(metro, sim_config).run(view);
   const double conservation_rel_error =
       std::abs(result.total.total().value() - baseline.total.total().value()) /
       baseline.total.total().value();

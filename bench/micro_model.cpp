@@ -94,7 +94,7 @@ void BM_HybridSimulatorSweep(benchmark::State& state) {
   config.catalogue_tail = 200;
   config.tail_views = 10000;
   TraceGenerator gen(config, metro());
-  const Trace trace = gen.generate();
+  const TraceView trace = TraceView::from_trace(gen.generate());
   SimConfig sim_config;
   sim_config.collect_hourly = false;
   sim_config.collect_per_user = false;
@@ -117,7 +117,7 @@ void BM_HybridSimulatorFullMetrics(benchmark::State& state) {
   config.catalogue_tail = 200;
   config.tail_views = 10000;
   TraceGenerator gen(config, metro());
-  const Trace trace = gen.generate();
+  const TraceView trace = TraceView::from_trace(gen.generate());
   const HybridSimulator sim(metro(), SimConfig{});
   for (auto _ : state) {
     const auto result = sim.run(trace);

@@ -10,9 +10,15 @@
 // Both paths must produce bit-identical SimResult totals — the bench
 // fails hard on divergence.
 //
+// Each rep times the row path and then the SoA path back to back, so
+// both see the same machine state; the reported speedup is the median of
+// the per-rep ratios (a ratio of two best-of-N timings taken minutes
+// apart swings with whatever else the host is doing).
+//
 // Flags beyond the standard --json/--threads:
 //   --sessions N   trace size (default 1,000,000)
-//   --reps R       timed repetitions per path; best rep wins (default 3)
+//   --reps R       timed row+SoA rep pairs (default 3); the per-path
+//                  seconds reported are each path's best rep
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -22,6 +28,7 @@
 #include <iostream>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "bench_json.h"
@@ -32,6 +39,7 @@
 #include "trace/trace_view.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -119,7 +127,7 @@ int main(int argc, char** argv) {
             << trace.span.value() / 86400.0 << " days, "
             << trace.swarm_index.groups.size() << " swarms, metro "
             << metro.name() << ", threads " << run.resolved_threads()
-            << ", best of " << reps << " reps\n\n";
+            << ", " << reps << " interleaved rep pairs\n\n";
 
   // The SoA path sweeps the mmap'd columns of a real `.cltrace` file —
   // the deployment shape — while the row path replays the in-memory
@@ -146,21 +154,19 @@ int main(int argc, char** argv) {
 
   double row_best = -1;
   double soa_best = -1;
+  std::vector<double> ratios;  // row seconds / SoA seconds, one per rep
   std::uint64_t row_digest = 0;
   std::uint64_t soa_digest = 0;
   for (std::int64_t r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    const SimResult result = sim.run_rows(trace);
-    const double wall = seconds_since(t0);
-    row_digest = result_digest(result);
-    if (row_best < 0 || wall < row_best) row_best = wall;
-  }
-  for (std::int64_t r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const SimResult result = sim.run(view);
-    const double wall = seconds_since(t0);
-    soa_digest = result_digest(result);
-    if (soa_best < 0 || wall < soa_best) soa_best = wall;
+    row_digest = result_digest(sim.run_rows(trace));
+    const double row_wall = seconds_since(t0);
+    const auto t1 = std::chrono::steady_clock::now();
+    soa_digest = result_digest(sim.run(view));
+    const double soa_wall = seconds_since(t1);
+    if (row_best < 0 || row_wall < row_best) row_best = row_wall;
+    if (soa_best < 0 || soa_wall < soa_best) soa_best = soa_wall;
+    if (soa_wall > 0) ratios.push_back(row_wall / soa_wall);
   }
   // One extra instrumented rep for the per-kernel split (the timing sink
   // adds clock reads to the sweep hot path, so it stays out of the timed
@@ -179,13 +185,16 @@ int main(int argc, char** argv) {
   const double n = static_cast<double>(trace.size());
   const double row_rate = row_best > 0 ? n / row_best : 0;
   const double soa_rate = soa_best > 0 ? n / soa_best : 0;
-  const double speedup = row_rate > 0 ? soa_rate / row_rate : 0;
+  std::sort(ratios.begin(), ratios.end());
+  const double speedup = ratios.empty() ? 0 : quantile_sorted(ratios, 0.5);
 
   std::cout << "  path          simulate s   sessions/s\n";
   std::printf("  rows (AoS)    %9.3f   %11.0f\n", row_best, row_rate);
   std::printf("  columns (SoA) %9.3f   %11.0f\n", soa_best, soa_rate);
-  std::printf("\n  sweep speedup (SoA/rows): %.1fx  (results bit-identical)\n",
-              speedup);
+  std::printf(
+      "\n  sweep speedup (SoA/rows, median of %zu rep pairs): %.1fx  "
+      "(results bit-identical)\n",
+      ratios.size(), speedup);
   std::printf(
       "\n  SoA per-kernel split (instrumented rep, target ISA: %s)\n"
       "    gather1  %7.3f s   gather2  %7.3f s\n"

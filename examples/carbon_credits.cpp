@@ -21,7 +21,7 @@ int main() {
   using namespace cl;
   const Metro metro = Metro::london_top5();
   TraceGenerator gen(TraceConfig::london_month_scaled(/*days=*/10), metro);
-  const Trace trace = gen.generate();
+  const TraceView trace = TraceView::from_trace(gen.generate());
 
   const Analyzer analyzer(metro, SimConfig{});
   const SimResult result = analyzer.simulate(trace);

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   std::cout << "simulating a live broadcast with " << config.viewers
             << " viewers joining within minutes of each other\n\n";
 
-  const Trace trace = generate_live_event(metro, config, /*seed=*/2018);
+  const TraceView trace = TraceView::from_trace(
+      generate_live_event(metro, config, /*seed=*/2018));
   const Analyzer analyzer(metro, SimConfig{});
   const auto outcomes = analyzer.aggregate(trace);
 

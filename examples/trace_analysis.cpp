@@ -38,13 +38,14 @@ int main(int argc, char** argv) {
   const Analyzer analyzer(metro, SimConfig{});
 
   std::cout << "\n== whole-system savings (hybrid vs pure CDN) ==\n";
-  print_aggregate(std::cout, analyzer.aggregate(trace));
+  print_aggregate(std::cout, analyzer.aggregate(TraceView::from_trace(trace)));
 
   std::cout << "\n== per-ISP savings, simulation vs closed form ==\n";
   TextTable table({"ISP", "sessions", "S sim (Val)", "S theo (Val)",
                    "S sim (Bal)", "S theo (Bal)"});
   for (std::uint32_t isp = 0; isp < metro.isp_count(); ++isp) {
-    const Trace isp_trace = filter_by_isp(trace, isp);
+    const TraceView isp_trace =
+        TraceView::from_trace(filter_by_isp(trace, isp));
     const auto agg = Analyzer(metro, SimConfig{}).aggregate(isp_trace);
     table.add_row({metro.isp(isp).name(), std::to_string(isp_trace.size()),
                    fmt(agg[0].sim_savings, 4), fmt(agg[0].theory_savings, 4),
@@ -55,7 +56,8 @@ int main(int argc, char** argv) {
   std::cout << "\n== the three popularity tiers of Fig. 2 ==\n";
   const char* names[] = {"popular", "medium", "unpopular"};
   for (std::uint32_t content = 0; content < 3; ++content) {
-    const Trace swarm = filter_by_isp(filter_by_content(trace, content), 0);
+    const TraceView swarm = TraceView::from_trace(
+        filter_by_isp(filter_by_content(trace, content), 0));
     if (swarm.empty()) continue;
     std::cout << names[content] << " exemplar on ISP-1:\n";
     print_swarm_experiment(std::cout, analyzer.analyze_swarm(swarm, 0));

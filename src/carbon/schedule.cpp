@@ -95,11 +95,7 @@ TraceView CarbonScheduler::schedule_preload(const TraceView& trace,
 
 Trace CarbonScheduler::schedule_preload(const Trace& trace,
                                         std::uint64_t seed) const {
-  // Flat no-op contract: no signal, no shift — the returned copy carries
-  // bit-identical sessions (and the metro stamp) so downstream results
-  // match the unscheduled run exactly.
-  if (inert()) return trace;
-  return apply_preload(trace, trough_window(), seed);
+  return schedule_preload(TraceView::from_trace(trace), seed).to_trace();
 }
 
 RoutingPlan CarbonScheduler::home_plan(std::size_t home,

@@ -67,10 +67,6 @@ inline const Metro& resolve_metro(const Args& args,
   return registry.get(kDefaultMetroName);
 }
 
-inline const Metro& resolve_metro(const Args& args, const Trace& trace) {
-  return resolve_metro(args, trace.metro_name);
-}
-
 /// The --intensity flag: absent → nullptr (no carbon section is
 /// printed, exactly the pre-intensity output). The special value
 /// "metro" resolves to the grid registered alongside the selected metro

@@ -13,11 +13,11 @@ namespace cl::cli {
 int cmd_ledger(const Args& args) {
   validate_intensity_flag(args);
   const ScheduleMode schedule = schedule_from(args);
-  const Trace trace = load_or_generate(args);
-  const Metro& metro = resolve_metro(args, trace);
+  const TraceView view = load_view_or_generate(args);
+  const Metro& metro = resolve_metro(args, view.metro_name());
   const IntensityCurve* intensity = intensity_from(args, metro.name());
   const Analyzer analyzer(metro, sim_config_from(args));
-  const SimResult base = analyzer.simulate(trace);
+  const SimResult base = analyzer.simulate(view);
 
   // Under a preload schedule the ledgers account the *scheduled* run —
   // credits should reflect the traffic users actually carried. A flat
@@ -31,7 +31,8 @@ int cmd_ledger(const Args& args) {
   const SimResult* result = &base;
   if (scheduler && schedule_preloads(schedule) && !scheduler->inert()) {
     preloaded = analyzer.simulate(scheduler->schedule_preload(
-        trace, seed_from(args, TraceConfig{}.seed)));
+        view, seed_from(args, TraceConfig{}.seed),
+        analyzer.sim_config().threads));
     result = &preloaded;
   }
 

@@ -12,7 +12,7 @@ namespace cl::cli {
 
 int cmd_swarm(const Args& args) {
   const Trace trace = load_or_generate(args);
-  const Metro& metro = resolve_metro(args, trace);
+  const Metro& metro = resolve_metro(args, trace.metro_name);
   const auto content = static_cast<std::uint32_t>(args.get_int("content", 0));
   const auto isp = static_cast<std::uint32_t>(args.get_int("isp", 0));
   if (isp >= metro.isp_count()) {
@@ -28,7 +28,10 @@ int cmd_swarm(const Args& args) {
   std::cout << "\ncontent " << content << " on " << metro.isp(isp).name()
             << ":\n";
   const Analyzer analyzer(metro, sim_config_from(args));
-  print_swarm_experiment(std::cout, analyzer.analyze_swarm(swarm, isp));
+  print_swarm_experiment(
+      std::cout,
+      analyzer.analyze_swarm(
+          TraceView::from_trace(swarm, analyzer.sim_config().threads), isp));
   return 0;
 }
 

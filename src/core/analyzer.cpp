@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "trace/trace_view.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -53,10 +52,6 @@ SimResult Analyzer::simulate(const TraceView& view) const {
   return HybridSimulator(*metro_, sim_config_).run(view);
 }
 
-SimResult Analyzer::simulate(const Trace& trace) const {
-  return simulate(TraceView::from_trace(trace, sim_config_.threads));
-}
-
 SavingsModel Analyzer::savings_model(std::size_t model_index,
                                      std::size_t isp_index) const {
   CL_EXPECTS(model_index < models_.size());
@@ -92,12 +87,6 @@ SwarmExperiment Analyzer::analyze_swarm(const TraceView& view,
     experiment.models.push_back(std::move(outcome));
   }
   return experiment;
-}
-
-SwarmExperiment Analyzer::analyze_swarm(const Trace& trace,
-                                        std::size_t isp_for_theory) const {
-  return analyze_swarm(TraceView::from_trace(trace, sim_config_.threads),
-                       isp_for_theory);
 }
 
 std::vector<std::vector<std::vector<double>>> Analyzer::theory_daily(
@@ -214,10 +203,6 @@ DailyReport Analyzer::daily_report(const TraceView& view) const {
   return report;
 }
 
-DailyReport Analyzer::daily_report(const Trace& trace) const {
-  return daily_report(TraceView::from_trace(trace, sim_config_.threads));
-}
-
 SwarmDistributions Analyzer::swarm_distributions(const TraceView& view) const {
   SimConfig config = sim_config_;
   config.collect_hourly = false;
@@ -268,11 +253,6 @@ SwarmDistributions Analyzer::swarm_distributions(const TraceView& view) const {
   return dist;
 }
 
-SwarmDistributions Analyzer::swarm_distributions(const Trace& trace) const {
-  return swarm_distributions(
-      TraceView::from_trace(trace, sim_config_.threads));
-}
-
 std::vector<CarbonOutcome> Analyzer::carbon_report(
     const TraceView& view, const IntensityCurve& curve) const {
   SimConfig config = sim_config_;
@@ -280,12 +260,6 @@ std::vector<CarbonOutcome> Analyzer::carbon_report(
   config.collect_per_user = false;
   config.collect_swarms = false;
   return carbon_report(HybridSimulator(*metro_, config).run(view), curve);
-}
-
-std::vector<CarbonOutcome> Analyzer::carbon_report(
-    const Trace& trace, const IntensityCurve& curve) const {
-  return carbon_report(TraceView::from_trace(trace, sim_config_.threads),
-                       curve);
 }
 
 std::vector<CarbonOutcome> Analyzer::carbon_report(
@@ -314,10 +288,6 @@ std::vector<AggregateOutcome> Analyzer::aggregate(const TraceView& view) const {
   config.collect_per_user = false;
   config.collect_swarms = true;
   return aggregate(HybridSimulator(*metro_, config).run(view));
-}
-
-std::vector<AggregateOutcome> Analyzer::aggregate(const Trace& trace) const {
-  return aggregate(TraceView::from_trace(trace, sim_config_.threads));
 }
 
 std::vector<AggregateOutcome> Analyzer::aggregate(

@@ -22,7 +22,7 @@
 #include "sim/hybrid_sim.h"
 #include "sim/metrics.h"
 #include "topology/placement.h"
-#include "trace/session.h"
+#include "trace/trace_view.h"
 #include "util/stats.h"
 
 namespace cl {
@@ -87,38 +87,28 @@ class Analyzer {
     return models_;
   }
 
-  /// Runs the simulator on a trace view (convenience passthrough). The
-  /// columnar entry points below are the engine; every `const Trace&`
-  /// overload is a thin wrapper that transposes the rows into an owned
-  /// SoA view once (TraceView::from_trace) — `.cltrace` input should be
-  /// opened with TraceView::open_binary so analysis runs directly on the
-  /// mmap'd columns.
+  /// Runs the simulator on a trace view (convenience passthrough). Every
+  /// entry point reads columns: `.cltrace` input opens zero-copy with
+  /// TraceView::open_binary, and a caller holding rows transposes them
+  /// once with TraceView::from_trace.
   [[nodiscard]] SimResult simulate(const TraceView& view) const;
-  [[nodiscard]] SimResult simulate(const Trace& trace) const;
 
   /// Analyzes one swarm (the trace should be pre-filtered to one content
   /// item, and to one ISP when the theory comparison should use that ISP's
   /// tree — `isp_for_theory` selects which tree the closed form uses).
   [[nodiscard]] SwarmExperiment analyze_swarm(const TraceView& view,
                                               std::size_t isp_for_theory) const;
-  [[nodiscard]] SwarmExperiment analyze_swarm(const Trace& trace,
-                                              std::size_t isp_for_theory) const;
 
   /// Fig. 4 series: per-day, per-ISP savings, simulation vs theory.
   [[nodiscard]] DailyReport daily_report(const TraceView& view) const;
-  [[nodiscard]] DailyReport daily_report(const Trace& trace) const;
 
   /// Fig. 3 samples: per-swarm capacity and savings across the catalogue.
   [[nodiscard]] SwarmDistributions swarm_distributions(
       const TraceView& view) const;
-  [[nodiscard]] SwarmDistributions swarm_distributions(
-      const Trace& trace) const;
 
   /// Whole-trace headline numbers per energy model.
   [[nodiscard]] std::vector<AggregateOutcome> aggregate(
       const TraceView& view) const;
-  [[nodiscard]] std::vector<AggregateOutcome> aggregate(
-      const Trace& trace) const;
 
   /// Same, on an existing simulation result (must have been produced
   /// with collect_swarms — the theory column aggregates per swarm;
@@ -132,8 +122,6 @@ class Analyzer {
   /// energy by the intensity at consumption time (src/carbon/).
   [[nodiscard]] std::vector<CarbonOutcome> carbon_report(
       const TraceView& view, const IntensityCurve& curve) const;
-  [[nodiscard]] std::vector<CarbonOutcome> carbon_report(
-      const Trace& trace, const IntensityCurve& curve) const;
 
   /// Same, on an existing simulation result (must have been produced
   /// with collect_hourly; throws cl::InvalidArgument otherwise).

@@ -152,11 +152,13 @@ struct RunKey {
   auto operator<=>(const RunKey&) const = default;
 };
 
+/// One generated trace, transposed once: every simulation, preloaded
+/// re-run and edge cache of the plan reads these columns.
 struct SharedTrace {
   const CellConfig* config = nullptr;  ///< the first cell with this key
-  Trace rows;
+  TraceView view;
   double sessions = 0;
-  std::atomic<std::size_t> readers{0};  ///< tasks still to read `rows`
+  std::atomic<std::size_t> readers{0};  ///< tasks still to read `view`
 };
 
 struct SharedRun {
@@ -177,7 +179,7 @@ template <typename Slot>
 }
 
 void release(SharedTrace& trace) {
-  if (last_reader(trace)) trace.rows = Trace{};
+  if (last_reader(trace)) trace.view = TraceView{};
 }
 
 void release(SharedRun& run) {
@@ -357,18 +359,19 @@ class CellPlanner {
     trace_config.threads = threads;
     trace_config.users = static_cast<std::uint32_t>(
         std::llround(trace_config.users * config.scale));
-    trace.rows =
+    trace.view = TraceView::from_trace(
         TraceGenerator(trace_config,
                        MetroRegistry::instance().get(config.metro))
-            .generate();
+            .generate(),
+        threads);
     if (config.preload) {
       PreloadConfig preload;
       preload.adoption = config.preload_adoption;
       preload.window_start_hour = config.preload_start_hour;
       preload.window_end_hour = config.preload_end_hour;
-      trace.rows = apply_preload(trace.rows, preload, config.seed);
+      trace.view = apply_preload(trace.view, preload, config.seed, threads);
     }
-    trace.sessions = static_cast<double>(trace.rows.size());
+    trace.sessions = static_cast<double>(trace.view.size());
   }
 
   /// Stage 2: one simulation, as cmd_simulate.cpp runs it.
@@ -379,15 +382,13 @@ class CellPlanner {
         metro, simulate_config(metro, config, run.hourly, threads));
     SharedTrace& trace = traces_[run.trace];
     if (run.preload_curve == nullptr) {
-      run.result =
-          simulator.run(TraceView::from_trace(trace.rows, threads), nullptr);
+      run.result = simulator.run(trace.view, nullptr);
       release(trace);
       return;
     }
     const TraceView shifted =
         CarbonScheduler(*run.preload_curve, ScheduleConfig{})
-            .schedule_preload(TraceView::from_trace(trace.rows, threads),
-                              config.seed, threads);
+            .schedule_preload(trace.view, config.seed, threads);
     release(trace);
     run.result = simulator.run(shifted, nullptr);
   }
@@ -470,7 +471,7 @@ class CellPlanner {
       cache_config.misses_use_p2p = config.edge_cache_p2p;
       SharedTrace& trace = traces_[plan.trace];
       const EdgeCacheOutcome cached =
-          EdgeCacheSimulator(metro, cache_sim, cache_config).run(trace.rows);
+          EdgeCacheSimulator(metro, cache_sim, cache_config).run(trace.view);
       release(trace);
       outcome.metrics.set("cache_hit_rate", cached.hit_rate());
       for (const auto& params : standard_params()) {

@@ -1,9 +1,37 @@
 #include "ext/edge_cache.h"
 
+#include <span>
+#include <vector>
+
 #include "energy/cost_functions.h"
 #include "util/error.h"
 
 namespace cl {
+
+namespace {
+
+/// The sessions at `positions` as owned columns over the same span (no
+/// swarm index, no metro stamp — the simulator groups them itself).
+TraceColumns gather_sessions(const TraceView& trace,
+                             const std::vector<std::uint32_t>& positions) {
+  TraceColumns out;
+  out.resize(positions.size());
+  out.span = trace.span();
+  for (std::size_t j = 0; j < positions.size(); ++j) {
+    const std::uint32_t i = positions[j];
+    out.user[j] = trace.user()[i];
+    out.household[j] = trace.household()[i];
+    out.content[j] = trace.content()[i];
+    out.isp[j] = trace.isp()[i];
+    out.exp[j] = trace.exp()[i];
+    out.bitrate[j] = trace.bitrate()[i];
+    out.start[j] = trace.start()[i];
+    out.duration[j] = trace.duration()[i];
+  }
+  return out;
+}
+
+}  // namespace
 
 LruSet::LruSet(std::size_t capacity) : capacity_(capacity) {
   CL_EXPECTS(capacity >= 1);
@@ -30,31 +58,41 @@ EdgeCacheSimulator::EdgeCacheSimulator(const Metro& metro,
   CL_EXPECTS(cache_config_.capacity_per_exp >= 1);
 }
 
-EdgeCacheOutcome EdgeCacheSimulator::run(const Trace& trace) const {
+EdgeCacheOutcome EdgeCacheSimulator::run(const TraceView& trace) const {
   EdgeCacheOutcome outcome;
   std::unordered_map<std::uint64_t, LruSet> caches;
-  Trace misses;
-  misses.span = trace.span;
-  for (const auto& s : trace.sessions) {
+  const std::span<const std::uint32_t> content = trace.content();
+  const std::span<const std::uint32_t> isp = trace.isp();
+  const std::span<const std::uint32_t> exp = trace.exp();
+  const std::span<const std::uint8_t> bitrate = trace.bitrate();
+  const std::span<const double> duration = trace.duration();
+  std::vector<std::uint32_t> missed;  // session positions, ascending
+  Bits miss_bits;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
     const std::uint64_t exp_key =
-        (static_cast<std::uint64_t>(s.isp) << 32) | s.exp;
+        (static_cast<std::uint64_t>(isp[i]) << 32) | exp[i];
     auto [it, inserted] = caches.try_emplace(
         exp_key, cache_config_.capacity_per_exp);
-    if (it->second.touch(s.content)) {
+    const Bits volume = bitrate_of(static_cast<BitrateClass>(bitrate[i])) *
+                        Seconds{duration[i]};
+    if (it->second.touch(content[i])) {
       ++outcome.hits;
-      outcome.cache_bits += s.volume();
+      outcome.cache_bits += volume;
     } else {
       ++outcome.misses;
-      misses.sessions.push_back(s);
+      miss_bits += volume;
+      missed.push_back(static_cast<std::uint32_t>(i));
     }
   }
   if (cache_config_.misses_use_p2p) {
-    outcome.miss_sim = HybridSimulator(*metro_, sim_config_).run(misses);
+    outcome.miss_sim = HybridSimulator(*metro_, sim_config_)
+                           .run(TraceView::from_columns(
+                               gather_sessions(trace, missed)));
   } else {
     // Pure CDN for misses: all bytes from the server.
     outcome.miss_sim.config = sim_config_;
-    outcome.miss_sim.span = misses.span;
-    outcome.miss_sim.total.server = misses.total_volume();
+    outcome.miss_sim.span = trace.span();
+    outcome.miss_sim.total.server = miss_bits;
   }
   return outcome;
 }

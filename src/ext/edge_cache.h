@@ -24,7 +24,7 @@
 #include "sim/hybrid_sim.h"
 #include "sim/metrics.h"
 #include "topology/placement.h"
-#include "trace/session.h"
+#include "trace/trace_view.h"
 
 namespace cl {
 
@@ -72,9 +72,10 @@ class EdgeCacheSimulator {
                      EdgeCacheConfig cache_config);
 
   /// Replays the trace in start order against the per-ExP caches, then
-  /// simulates the missing sessions with the hybrid simulator (or accounts
-  /// them as pure CDN when misses_use_p2p is false).
-  [[nodiscard]] EdgeCacheOutcome run(const Trace& trace) const;
+  /// simulates the missing sessions — gathered into owned columns — with
+  /// the hybrid simulator (or accounts them as pure CDN when
+  /// misses_use_p2p is false).
+  [[nodiscard]] EdgeCacheOutcome run(const TraceView& trace) const;
 
   /// ψcache — per-bit energy of a cache hit (see file comment).
   [[nodiscard]] static EnergyPerBit cache_psi(const EnergyParams& params);

@@ -133,10 +133,4 @@ TraceView apply_preload(const TraceView& trace, const PreloadConfig& config,
   return view;
 }
 
-Trace apply_preload(const Trace& trace, const PreloadConfig& config,
-                    std::uint64_t seed) {
-  return apply_preload(TraceView::from_trace(trace), config, seed)
-      .to_trace();
-}
-
 }  // namespace cl

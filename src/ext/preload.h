@@ -10,8 +10,7 @@
 // simulator and model quantify the effect.
 //
 // The transform works on columns: it reads a TraceView (zero-copy for a
-// mapped `.cltrace`) and writes an owned-SoA view, never a row. The
-// Trace overload is a thin adapter over it.
+// mapped `.cltrace`) and writes an owned-SoA view, never a row.
 //
 // Simplification (documented): a preloaded download is modelled as a
 // session of unchanged duration and bitrate placed inside the preload
@@ -20,7 +19,6 @@
 
 #include <cstdint>
 
-#include "trace/session.h"
 #include "trace/trace_view.h"
 
 namespace cl {
@@ -46,12 +44,5 @@ struct PreloadConfig {
                                       const PreloadConfig& config,
                                       std::uint64_t seed,
                                       unsigned threads = 1);
-
-/// Row adapter over the column transform: the same sessions in the same
-/// order, materialized as a Trace (with the carried-over index when
-/// `trace` has one).
-[[nodiscard]] Trace apply_preload(const Trace& trace,
-                                  const PreloadConfig& config,
-                                  std::uint64_t seed);
 
 }  // namespace cl

@@ -197,10 +197,9 @@ SimResult HybridSimulator::run(const TraceView& view,
 
   // Shard the key-ordered swarm list across workers: each worker reuses
   // one SwarmSweep (scratch buffers + matcher) for every swarm it sweeps,
-  // each fixed-size chunk accumulates into its own first-touch SimResult
-  // partial, and partials merge in ascending swarm-key order —
-  // bit-identical results at every thread count (the util/parallel.h
-  // contract).
+  // each fixed-size chunk accumulates into its own SimResult partial, and
+  // partials merge in ascending swarm-key order — bit-identical results
+  // at every thread count (the util/parallel.h contract).
   ReduceTiming reduce_timing;
   SweepKernelTiming kernel_timing;
   SweepKernelTiming* kernel_sink = timing != nullptr ? &kernel_timing : nullptr;
@@ -231,10 +230,6 @@ SimResult HybridSimulator::run(const TraceView& view,
     timing->sweep_allocate_seconds = kernel_timing.allocate_seconds.load();
   }
   return result;
-}
-
-SimResult HybridSimulator::run(const Trace& trace) const {
-  return run(TraceView::from_trace(trace, config_.threads));
 }
 
 SimResult HybridSimulator::run_rows(const Trace& trace) const {

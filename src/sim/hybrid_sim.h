@@ -18,20 +18,16 @@
 // Data path: the simulator consumes *columns* (trace/trace_view.h), not
 // rows. run(TraceView) is the engine — workers receive column index
 // ranges, gather each swarm's fields into contiguous scratch and sweep
-// (sim/swarm_sweep.h). run(Trace) is a convenience wrapper that
-// transposes the rows into an owned SoA view first; `.cltrace` input
-// should be opened as a view (TraceView::open_binary) so the sweep runs
-// directly on the mmap'd blocks with zero materialization. run_rows
-// keeps the historical row-structured path as the bit-identity reference
-// and bench baseline.
+// (sim/swarm_sweep.h); a `.cltrace` view sweeps the mmap'd blocks with
+// zero materialization. run_rows keeps the historical row-structured
+// path as the bit-identity reference and bench baseline.
 //
 // Parallel execution: swarms are independent, so run() shards the
 // key-sorted swarm list across SimConfig::threads workers. Each worker
-// drives one reusable SwarmSweep; per-chunk SimResult partials are
-// first-touch allocated by their worker and merge in ascending swarm-key
-// order (socket-local pre-folds on multi-node hosts — util/parallel.h),
-// making the full result bit-identical at every thread count (see
-// DESIGN.md §"Parallel execution model").
+// drives one reusable SwarmSweep; per-chunk SimResult partials merge in
+// ascending swarm-key order (util/parallel.h), making the full result
+// bit-identical at every thread count (see DESIGN.md §"Parallel
+// execution model").
 //
 // Traces loaded from the binary columnar format carry a persisted
 // swarm-key-sorted index (trace/swarm_index.h); under the default full
@@ -83,10 +79,6 @@ class HybridSimulator {
   /// receives the group/sweep/merge wall-time split.
   [[nodiscard]] SimResult run(const TraceView& view,
                               SimPhaseTiming* timing = nullptr) const;
-
-  /// Convenience wrapper: transposes the row-structured trace into an
-  /// owned SoA view (one O(n) pass) and runs on the columns.
-  [[nodiscard]] SimResult run(const Trace& trace) const;
 
   /// The historical row-structured path (SessionRecord loads inside the
   /// sweep loops, virtual Matcher dispatch) — bit-identical to run() and

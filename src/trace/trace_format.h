@@ -1,5 +1,5 @@
 // trace_format.h — format dispatch between the CSV (trace/trace_io.h)
-// and binary columnar (trace/trace_binary.h, trace/trace_mmap.h) trace
+// and binary columnar (trace/trace_binary.h, trace/trace_view.h) trace
 // representations.
 //
 // Readers sniff the `.cltrace` magic bytes, so `--format auto` (the

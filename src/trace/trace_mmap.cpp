@@ -3,11 +3,8 @@
 #include <cstring>
 #include <limits>
 
-#include "trace/bitrate.h"
-#include "trace/swarm_index.h"
 #include "trace/trace_binary.h"
 #include "util/error.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace cl {
@@ -155,84 +152,6 @@ SessionRecord MappedTrace::session(std::size_t i) const {
   s.start = load_f64_le(block(6) + 8 * i);
   s.duration = load_f64_le(block(7) + 8 * i);
   return s;
-}
-
-Trace MappedTrace::to_trace(unsigned threads) const {
-  Trace trace;
-  trace.span = span_;
-  trace.metro_name = metro_name();
-  trace.sessions.resize(sessions_);
-  const unsigned char* user = block(0);
-  const unsigned char* household = block(1);
-  const unsigned char* content = block(2);
-  const unsigned char* isp = block(3);
-  const unsigned char* exp = block(4);
-  const unsigned char* bitrate = block(5);
-  const unsigned char* start = block(6);
-  const unsigned char* duration = block(7);
-  parallel_shards(sessions_, threads,
-                  [&](unsigned, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      SessionRecord& s = trace.sessions[i];
-                      s.user = load_u32_le(user + 4 * i);
-                      s.household = load_u32_le(household + 4 * i);
-                      s.content = load_u32_le(content + 4 * i);
-                      s.isp = load_u32_le(isp + 4 * i);
-                      s.exp = load_u32_le(exp + 4 * i);
-                      if (bitrate[i] >= kBitrateClasses) {
-                        throw ParseError(
-                            "corrupt .cltrace file: bitrate class out of "
-                            "range: " + std::to_string(bitrate[i]));
-                      }
-                      s.bitrate = static_cast<BitrateClass>(bitrate[i]);
-                      s.start = load_f64_le(start + 8 * i);
-                      s.duration = load_f64_le(duration + 8 * i);
-                    }
-                  });
-
-  trace.swarm_index.groups.resize(groups_);
-  const unsigned char* g_content = block(8);
-  const unsigned char* g_isp = block(9);
-  const unsigned char* g_bitrate = block(10);
-  const unsigned char* g_count = block(11);
-  std::uint64_t begin = 0;
-  for (std::size_t g = 0; g < groups_; ++g) {
-    SwarmIndexGroup& group = trace.swarm_index.groups[g];
-    group.content = load_u32_le(g_content + 4 * g);
-    group.isp = load_u32_le(g_isp + 4 * g);
-    group.bitrate = g_bitrate[g];
-    group.count = load_u64_le(g_count + 8 * g);
-    group.begin = begin;
-    if (group.count > sessions_ - begin) {
-      throw ParseError(
-          "corrupt .cltrace file: swarm index group counts overflow the "
-          "session count");
-    }
-    begin += group.count;
-  }
-  trace.swarm_index.order.resize(sessions_);
-  const unsigned char* order = block(12);
-  parallel_shards(sessions_, threads,
-                  [&](unsigned, std::size_t range_begin, std::size_t end) {
-                    for (std::size_t i = range_begin; i < end; ++i) {
-                      trace.swarm_index.order[i] = load_u32_le(order + 4 * i);
-                    }
-                  });
-  validate_swarm_index(trace.swarm_index, trace);
-
-  // The same invariants the CSV reader enforces (ordering, non-negative
-  // durations, sessions inside the span) — surfaced as ParseError since
-  // the data came from an untrusted file, not a caller bug.
-  try {
-    trace.validate();
-  } catch (const InvalidArgument& e) {
-    throw ParseError(std::string("corrupt .cltrace file: ") + e.what());
-  }
-  return trace;
-}
-
-Trace read_trace_binary_file(const std::string& path, unsigned threads) {
-  return MappedTrace(path).to_trace(threads);
 }
 
 }  // namespace cl

@@ -2,15 +2,11 @@
 //
 // The counterpart of trace/trace_binary.h: maps the file read-only and
 // validates the header and block directory without touching the payload.
-// From there the payload columns are consumed two ways:
-//
-//  * zero-copy — trace/trace_view.h wraps the mapped column blocks in
-//    typed spans and the simulator sweeps them directly, materializing
-//    nothing (the default for `.cltrace` input on little-endian hosts);
-//  * materialized — to_trace() decodes row-structured SessionRecords,
-//    sharding session ranges across worker threads (util/parallel.h),
-//    for callers that genuinely need rows (filters, converters, the
-//    row-path reference sweep).
+// The payload has one decoder, TraceView::from_mapped
+// (trace/trace_view.h): it wraps the mapped column blocks in typed spans
+// zero-copy (decoding into owned columns only on hosts that cannot alias
+// them) and validates every field column-wise. Callers that need rows
+// materialize them from that view (read_trace_binary_file).
 #pragma once
 
 #include <cstddef>
@@ -29,8 +25,8 @@ namespace cl {
 /// block), block directory (every block id of that version present
 /// exactly once, element widths, counts, bounds) and the exact file
 /// size. Field-level validation — bitrate range, swarm-index
-/// consistency, session ordering — happens in to_trace(), which is the
-/// only way payload bytes become a Trace.
+/// consistency, session ordering — happens in TraceView::from_mapped,
+/// the only way payload bytes become a trace.
 class MappedTrace {
  public:
   /// Maps and validates `path`; throws cl::IoError when the file cannot
@@ -53,24 +49,18 @@ class MappedTrace {
   [[nodiscard]] std::string metro_name() const;
 
   /// Decodes one session from the column blocks (bitrate unvalidated —
-  /// use to_trace() for checked loading).
+  /// use TraceView::from_mapped for checked loading).
   [[nodiscard]] SessionRecord session(std::size_t i) const;
 
   /// Raw payload bytes of block `id` (see trace/trace_binary.h for the
   /// block table). The pointer is valid for the lifetime of this
   /// MappedTrace; blocks are little-endian and 64-byte aligned within
   /// the file. Zero-copy consumers (trace/trace_view.h) cast these to
-  /// typed column pointers; everyone else should use session() or
-  /// to_trace().
+  /// typed column pointers; everyone else should use session() or a
+  /// TraceView.
   [[nodiscard]] const unsigned char* raw_block(std::size_t id) const {
     return block(id);
   }
-
-  /// Materializes the full trace — sessions, span and swarm index —
-  /// sharding session decoding across `threads` workers (0 = all
-  /// hardware threads). Validates bitrate values, the swarm index and
-  /// the trace invariants; throws cl::ParseError on corrupt payloads.
-  [[nodiscard]] Trace to_trace(unsigned threads = 1) const;
 
  private:
   [[nodiscard]] const unsigned char* block(std::size_t id) const;
@@ -85,9 +75,5 @@ class MappedTrace {
   /// for legacy v1 files).
   std::uint64_t offsets_[14] = {};
 };
-
-/// Loads a `.cltrace` file into a Trace (mmap + sharded materialization).
-[[nodiscard]] Trace read_trace_binary_file(const std::string& path,
-                                           unsigned threads = 1);
 
 }  // namespace cl

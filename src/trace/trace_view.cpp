@@ -42,6 +42,31 @@ bool can_alias_columns(const MappedTrace& m) {
   return true;
 }
 
+/// Decodes the session columns and the order block of `m` into owned
+/// buffers, byte order independent (the index groups, header and metro
+/// name are from_mapped's job).
+TraceColumns decode_columns(const MappedTrace& m, unsigned threads) {
+  const std::size_t n = m.size();
+  TraceColumns columns;
+  columns.resize(n);
+  columns.order.resize(n);
+  parallel_shards(n, threads, [&](unsigned, std::size_t begin,
+                                  std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      columns.user[i] = load_u32_le(m.raw_block(0) + 4 * i);
+      columns.household[i] = load_u32_le(m.raw_block(1) + 4 * i);
+      columns.content[i] = load_u32_le(m.raw_block(2) + 4 * i);
+      columns.isp[i] = load_u32_le(m.raw_block(3) + 4 * i);
+      columns.exp[i] = load_u32_le(m.raw_block(4) + 4 * i);
+      columns.bitrate[i] = m.raw_block(5)[i];
+      columns.start[i] = load_f64_le(m.raw_block(6) + 8 * i);
+      columns.duration[i] = load_f64_le(m.raw_block(7) + 8 * i);
+      columns.order[i] = load_u32_le(m.raw_block(12) + 4 * i);
+    }
+  });
+  return columns;
+}
+
 }  // namespace
 
 void TraceColumns::resize(std::size_t n) {
@@ -101,40 +126,42 @@ TraceView TraceView::from_columns(TraceColumns columns) {
 }
 
 TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
-  if (!can_alias_columns(mapped)) {
-    // Big-endian or pathologically aligned mapping: decode once into SoA
-    // buffers through the checked row loader (the slow, always-correct
-    // road — unreachable on every platform CI covers).
-    const Trace trace = mapped.to_trace(threads);
-    return from_trace(trace, threads);
-  }
-
   const auto shared =
       std::make_shared<const MappedTrace>(std::move(mapped));
   const MappedTrace& m = *shared;
   const std::size_t n = m.size();
 
   TraceView view;
+  if (can_alias_columns(m)) {
+    // The aliasing casts below are why `.cltrace` payload blocks are
+    // little-endian and 64-byte aligned (trace/trace_binary.h): the
+    // mmap'd bytes are read-only and only ever accessed through these
+    // column types.
+    view.user_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(0)), n};
+    view.household_ = {
+        reinterpret_cast<const std::uint32_t*>(m.raw_block(1)), n};
+    view.content_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(2)),
+                     n};
+    view.isp_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(3)), n};
+    view.exp_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(4)), n};
+    view.bitrate_ = {m.raw_block(5), n};
+    view.start_ = {reinterpret_cast<const double*>(m.raw_block(6)), n};
+    view.duration_ = {reinterpret_cast<const double*>(m.raw_block(7)), n};
+    view.order_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(12)),
+                   n};
+    view.mapped_ = shared;
+  } else {
+    // Big-endian or pathologically aligned mapping: decode the blocks
+    // once into owned columns (unreachable on every platform CI covers)
+    // and run the same checks on them below.
+    view = from_columns(decode_columns(m, threads));
+  }
   view.metro_name_ = m.metro_name();  // validates the name block
   view.span_ = m.span();
-  // The aliasing casts below are why `.cltrace` payload blocks are
-  // little-endian and 64-byte aligned (trace/trace_binary.h): the mmap'd
-  // bytes are read-only and only ever accessed through these column
-  // types.
-  view.user_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(0)), n};
-  view.household_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(1)),
-                     n};
-  view.content_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(2)), n};
-  view.isp_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(3)), n};
-  view.exp_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(4)), n};
-  view.bitrate_ = {m.raw_block(5), n};
-  view.start_ = {reinterpret_cast<const double*>(m.raw_block(6)), n};
-  view.duration_ = {reinterpret_cast<const double*>(m.raw_block(7)), n};
-  view.order_ = {reinterpret_cast<const std::uint32_t*>(m.raw_block(12)), n};
+  if (!(view.span_.value() >= 0)) corrupt("negative or NaN trace span");
 
-  // Field-level validation, column-wise — the same checks to_trace()
-  // performs on materialized rows (bitrate range, session invariants),
-  // without building a single SessionRecord.
+  // Field-level validation, column-wise: bitrate range and the session
+  // invariants, without building a single SessionRecord.
   if (const std::size_t bad = view.first_invalid_session(threads); bad < n) {
     if (view.bitrate_[bad] >= kBitrateClasses) {
       throw ParseError("corrupt .cltrace file: bitrate class out of "
@@ -165,21 +192,14 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
       group.begin = begin;
       if (group.count == 0) corrupt("swarm index contains an empty group");
       if (group.count > n - begin) {
-        throw ParseError(
-            "corrupt .cltrace file: swarm index group counts overflow the "
-            "session count");
+        corrupt("swarm index group counts overflow the session count");
       }
       if (g > 0 && !SwarmIndex::key_less((*groups)[g - 1], group)) {
         corrupt("swarm index group keys are not strictly ascending");
       }
       begin += group.count;
     }
-    if (g_count > 0 && begin != n) {
-      corrupt("swarm index groups do not cover every session");
-    }
-    if (g_count == 0 && n > 0) {
-      corrupt("swarm index groups do not cover every session");
-    }
+    if (begin != n) corrupt("swarm index groups do not cover every session");
   }
   parallel_shards(g_count, threads, [&](unsigned, std::size_t gb,
                                         std::size_t ge) {
@@ -203,7 +223,6 @@ TraceView TraceView::from_mapped(MappedTrace mapped, unsigned threads) {
   });
 
   view.groups_ = std::move(groups);
-  view.mapped_ = shared;
   return view;
 }
 
@@ -234,18 +253,23 @@ std::size_t TraceView::first_invalid_session(unsigned threads) const {
   return *std::min_element(first_bad.begin(), first_bad.end());
 }
 
-Trace TraceView::to_trace() const {
+Trace TraceView::to_trace(unsigned threads) const {
   Trace trace;
   trace.span = span_;
   trace.metro_name = metro_name_;
-  trace.sessions.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    trace.sessions.push_back(session(i));
-  }
+  trace.sessions.resize(size());
+  parallel_shards(size(), threads, [&](unsigned, std::size_t begin,
+                                       std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) trace.sessions[i] = session(i);
+  });
   const std::span<const SwarmIndexGroup> index_groups = groups();
   trace.swarm_index.groups.assign(index_groups.begin(), index_groups.end());
   trace.swarm_index.order.assign(order_.begin(), order_.end());
   return trace;
+}
+
+Trace read_trace_binary_file(const std::string& path, unsigned threads) {
+  return TraceView::open_binary(path, threads).to_trace(threads);
 }
 
 SessionRecord TraceView::session(std::size_t i) const {

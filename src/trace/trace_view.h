@@ -14,7 +14,7 @@
 //    once from a row-structured Trace (CSV loads, generated or filtered
 //    traces), decoded from a MappedTrace on big-endian/misaligned hosts,
 //    or written by a column transform of another view (the preload
-//    transform, ext/preload.h).
+//    transform, ext/preload.h; the edge cache's misses, ext/edge_cache.h).
 //
 // Ownership and lifetime: a TraceView *shares* its backing (the mapped
 // file or the SoA buffers) via shared_ptr, so views are cheap to copy,
@@ -23,10 +23,11 @@
 // is keep a `Trace&` alive — from_trace() copies the columns out, so
 // the source Trace may be destroyed immediately afterwards.
 //
-// Construction from a MappedTrace performs the same field-level
-// validation to_trace() does — bitrate range, swarm-index consistency,
-// session ordering/span invariants — as column passes, without ever
-// materializing a SessionRecord.
+// from_mapped is the one `.cltrace` payload decoder: it validates every
+// field — bitrate range, swarm-index consistency, session ordering/span
+// invariants — as column passes, without ever materializing a
+// SessionRecord, and read_trace_binary_file builds its rows from the
+// validated view.
 #pragma once
 
 #include <cstddef>
@@ -67,8 +68,7 @@ class TraceView {
   /// Transposes a row-structured Trace into owned SoA columns (sharded
   /// across `threads` workers; 0 = all hardware threads). The returned
   /// view is self-contained — `trace` may die right after this returns.
-  /// Trusts its input exactly as far as HybridSimulator::run(Trace) did:
-  /// field invariants are the loader's responsibility.
+  /// Trusts its input: field invariants are the loader's responsibility.
   [[nodiscard]] static TraceView from_trace(const Trace& trace,
                                             unsigned threads = 1);
 
@@ -78,10 +78,11 @@ class TraceView {
   [[nodiscard]] static TraceView from_columns(TraceColumns columns);
 
   /// Wraps a mapped `.cltrace` zero-copy (taking ownership of the
-  /// mapping), falling back to a one-shot SoA transpose on hosts where
-  /// the blocks cannot be aliased (big-endian, misaligned mapping).
-  /// Validates bitrates, the swarm index and the session invariants
-  /// column-wise; throws cl::ParseError on corrupt payloads.
+  /// mapping), falling back to a one-shot decode into owned columns on
+  /// hosts where the blocks cannot be aliased (big-endian, misaligned
+  /// mapping). Either way validates the span, bitrates, the session
+  /// invariants and the swarm index column-wise; throws cl::ParseError
+  /// on corrupt payloads.
   [[nodiscard]] static TraceView from_mapped(MappedTrace mapped,
                                              unsigned threads = 1);
 
@@ -134,9 +135,10 @@ class TraceView {
   /// a hot-path API).
   [[nodiscard]] SessionRecord session(std::size_t i) const;
 
-  /// Materializes the whole trace as rows, swarm index included (the
-  /// row-API adapters and tests — not a hot-path API).
-  [[nodiscard]] Trace to_trace() const;
+  /// Materializes the whole trace as rows, swarm index included,
+  /// sharded across `threads` workers (row writers, converters and tests
+  /// — not a hot-path API).
+  [[nodiscard]] Trace to_trace(unsigned threads = 1) const;
 
   /// The first session breaking the trace invariants — bitrate class in
   /// range, non-negative start and duration, starts ascending, end
@@ -157,5 +159,11 @@ class TraceView {
   Seconds span_;
   std::string metro_name_;
 };
+
+/// Loads a `.cltrace` file as rows: open_binary(path, threads) then
+/// to_trace(threads) — the same decoder and checks as the zero-copy
+/// path. Throws cl::IoError / cl::ParseError like open_binary.
+[[nodiscard]] Trace read_trace_binary_file(const std::string& path,
+                                           unsigned threads = 1);
 
 }  // namespace cl

@@ -17,7 +17,7 @@ const Metro& metro() {
   return m;
 }
 
-Trace month_trace() {
+Trace month_rows() {
   TraceConfig tc;
   tc.days = 5;
   tc.users = 4000;
@@ -26,6 +26,8 @@ Trace month_trace() {
   tc.tail_views = 20000;
   return TraceGenerator(tc, metro()).generate();
 }
+
+TraceView month_trace() { return TraceView::from_trace(month_rows()); }
 
 TEST(Analyzer, DefaultsToBothPaperModels) {
   const Analyzer analyzer(metro(), SimConfig{});
@@ -39,9 +41,10 @@ TEST(Analyzer, RejectsEmptyModelList) {
 }
 
 TEST(Analyzer, SwarmExperimentSimTracksTheory) {
-  const Trace trace = month_trace();
+  const Trace trace = month_rows();
   const Analyzer analyzer(metro(), SimConfig{});
-  const Trace popular = filter_by_isp(filter_by_content(trace, 0), 0);
+  const TraceView popular =
+      TraceView::from_trace(filter_by_isp(filter_by_content(trace, 0), 0));
   const auto e = analyzer.analyze_swarm(popular, 0);
   EXPECT_GT(e.capacity, 0.5);
   ASSERT_EQ(e.models.size(), 2u);
@@ -55,10 +58,10 @@ TEST(Analyzer, SwarmExperimentSimTracksTheory) {
 }
 
 TEST(Analyzer, SwarmExperimentPerBitrateAgreesTightly) {
-  const Trace trace = month_trace();
+  const Trace trace = month_rows();
   const Analyzer analyzer(metro(), SimConfig{});
-  const Trace swarm = filter_by_bitrate(
-      filter_by_isp(filter_by_content(trace, 0), 0), BitrateClass::kSd);
+  const TraceView swarm = TraceView::from_trace(filter_by_bitrate(
+      filter_by_isp(filter_by_content(trace, 0), 0), BitrateClass::kSd));
   const auto e = analyzer.analyze_swarm(swarm, 0);
   for (const auto& m : e.models) {
     // Per-(content, ISP, bitrate) swarms are the theory's exact object;
@@ -69,7 +72,7 @@ TEST(Analyzer, SwarmExperimentPerBitrateAgreesTightly) {
 }
 
 TEST(Analyzer, DailyReportShapes) {
-  const Trace trace = month_trace();
+  const TraceView trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
   const auto report = analyzer.daily_report(trace);
   ASSERT_EQ(report.models.size(), 2u);
@@ -81,7 +84,7 @@ TEST(Analyzer, DailyReportShapes) {
 }
 
 TEST(Analyzer, DailyReportSimTracksTheoryForBigIsp) {
-  const Trace trace = month_trace();
+  const TraceView trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
   const auto report = analyzer.daily_report(trace);
   for (std::size_t m = 0; m < 2; ++m) {
@@ -95,7 +98,7 @@ TEST(Analyzer, DailyReportSimTracksTheoryForBigIsp) {
 }
 
 TEST(Analyzer, SwarmDistributionsCoverCatalogue) {
-  const Trace trace = month_trace();
+  const TraceView trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
   const auto dist = analyzer.swarm_distributions(trace);
   EXPECT_GT(dist.capacities.size(), 100u);
@@ -109,7 +112,7 @@ TEST(Analyzer, SwarmDistributionsCoverCatalogue) {
 }
 
 TEST(Analyzer, AggregateHeadlineNumbers) {
-  const Trace trace = month_trace();
+  const TraceView trace = month_trace();
   const Analyzer analyzer(metro(), SimConfig{});
   const auto outcomes = analyzer.aggregate(trace);
   ASSERT_EQ(outcomes.size(), 2u);

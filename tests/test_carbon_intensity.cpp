@@ -181,7 +181,8 @@ TEST(CarbonAccountant, FlatCurveReproducesEnergySavings) {
   tc.exemplar_views = {15000};
   tc.catalogue_tail = 80;
   tc.tail_views = 4000;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   const SimResult result = HybridSimulator(metro(), SimConfig{}).run(trace);
   const auto& flat = IntensityRegistry::instance().get(kFlatIntensityName);
 
@@ -207,7 +208,8 @@ TEST(CarbonAccountant, DiurnalCurveDivergesFromFlatOnDiurnalDemand) {
   tc.exemplar_views = {15000};
   tc.catalogue_tail = 80;
   tc.tail_views = 4000;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   const SimResult result = HybridSimulator(metro(), SimConfig{}).run(trace);
 
   const auto& registry = IntensityRegistry::instance();
@@ -233,7 +235,8 @@ TEST(CarbonAccountant, ReportOverloadsRejectMissingCollection) {
   tc.exemplar_views = {3000};
   tc.catalogue_tail = 20;
   tc.tail_views = 1000;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   SimConfig lean;
   lean.collect_hourly = false;
   lean.collect_swarms = false;
@@ -245,7 +248,8 @@ TEST(CarbonAccountant, ReportOverloadsRejectMissingCollection) {
   EXPECT_THROW((void)analyzer.carbon_report(result, flat), InvalidArgument);
   EXPECT_THROW((void)analyzer.aggregate(result), InvalidArgument);
   // A genuinely empty trace is legitimately all-zero, not an error.
-  const Trace empty{{}, Seconds{86400.0}, {}, {}};
+  const TraceView empty =
+      TraceView::from_trace(Trace{{}, Seconds{86400.0}, {}, {}});
   const SimResult empty_result = HybridSimulator(metro(), SimConfig{}).run(empty);
   EXPECT_NO_THROW((void)analyzer.aggregate(empty_result));
 }
@@ -260,7 +264,8 @@ TEST(CarbonAccountant, CarbonReportBitIdenticalAcrossThreadCounts) {
   tc.catalogue_tail = 60;
   tc.tail_views = 4000;
   tc.threads = 0;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   const auto& curve = IntensityRegistry::instance().get("uk_2018");
 
   SimConfig base;

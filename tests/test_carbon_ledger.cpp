@@ -199,7 +199,8 @@ TEST(CarbonLedger, FlatCurveWeightedCctMatchesUnweighted) {
   tc.exemplar_views = {15000};
   tc.catalogue_tail = 80;
   tc.tail_views = 4000;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   const auto result = HybridSimulator(metro(), SimConfig{}).run(trace);
   const auto& flat = IntensityRegistry::instance().get(kFlatIntensityName);
   for (const auto& params : standard_params()) {
@@ -224,7 +225,8 @@ TEST(CarbonLedger, SimulationEndToEnd) {
   tc.exemplar_views = {20000};
   tc.catalogue_tail = 100;
   tc.tail_views = 5000;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   const auto result = HybridSimulator(metro(), SimConfig{}).run(trace);
   const CarbonLedger baliga(result, baliga_params());
   const CarbonLedger valancius(result, valancius_params());

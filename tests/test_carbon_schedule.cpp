@@ -126,7 +126,7 @@ TEST(FlatContract, SchedulerIsInertUnderFlatCurve) {
 
   // And the assessed reduction is exactly 0 (same grid, same plan).
   const SimResult result =
-      HybridSimulator(metro(), SimConfig{}).run(trace);
+      HybridSimulator(metro(), SimConfig{}).run(TraceView::from_trace(trace));
   const EnergyAccountant energy{CostFunctions(valancius_params())};
   const ScheduleOutcome outcome =
       scheduler.assess(result.hourly, result.hourly, energy, plan);
@@ -252,7 +252,7 @@ TEST(DualGrid, HoursBeyondThePlanPriceAsHome) {
 // ---- end-to-end outcomes ----
 
 TEST(Schedule, PositiveReductionUnderEveryNonFlatPreset) {
-  const Trace trace = small_trace();
+  const TraceView trace = TraceView::from_trace(small_trace());
   const SimResult unscheduled =
       HybridSimulator(metro(), SimConfig{}).run(trace);
   const IntensityRegistry& registry = IntensityRegistry::instance();
@@ -289,10 +289,10 @@ TEST(Schedule, ScheduledRunsBitIdenticalAcrossThreadCounts) {
   // the preload transform is single-threaded and seed-deterministic, and
   // the re-simulation merges fixed chunks — so every thread count yields
   // bit-identical totals and hourly grids.
-  Trace trace = small_trace();
+  const TraceView trace = TraceView::from_trace(small_trace());
   const CarbonScheduler scheduler(
       IntensityRegistry::instance().get("us_caiso"));
-  const Trace shifted = scheduler.schedule_preload(trace, 11);
+  const TraceView shifted = scheduler.schedule_preload(trace, 11);
 
   SimConfig base;
   base.threads = 1;

@@ -472,7 +472,8 @@ TEST(FlashCrowd, OutputDigestPinned) {
 
 // ---- overload model ----
 
-Trace tiny_swarm(std::vector<double> starts, std::vector<double> durations) {
+TraceView tiny_swarm(std::vector<double> starts,
+                     std::vector<double> durations) {
   Trace trace;
   trace.span = Seconds{3600};
   trace.metro_name = metro().name();
@@ -489,7 +490,7 @@ Trace tiny_swarm(std::vector<double> starts, std::vector<double> durations) {
     trace.sessions.push_back(s);
   }
   trace.validate();
-  return trace;
+  return TraceView::from_trace(trace);
 }
 
 SimConfig overload_config(bool on) {
@@ -502,7 +503,7 @@ SimConfig overload_config(bool on) {
 TEST(Overload, SynchronizedJoinSpillsTheWholeFirstWindow) {
   // Three same-window joiners: nobody is warm in the stretch's first
   // window, so the whole peer demand 2·β·Δτ bounces to the CDN.
-  const Trace trace = tiny_swarm({0, 0, 0}, {100, 100, 100});
+  const TraceView trace = tiny_swarm({0, 0, 0}, {100, 100, 100});
   const SimResult on =
       HybridSimulator(metro(), overload_config(true)).run(trace);
   const SimResult off =
@@ -521,7 +522,7 @@ TEST(Overload, StaggeredJoinsHaveWarmCapacityAndNoSpill) {
   // Each later joiner meets at least one full-window member: capacity
   // q·Σ_warm β·Δτ covers the demand, so overload changes nothing — the
   // flag-on run is bit-identical to the flag-off run.
-  const Trace trace = tiny_swarm({0, 20, 40}, {100, 80, 60});
+  const TraceView trace = tiny_swarm({0, 20, 40}, {100, 80, 60});
   const SimResult on =
       HybridSimulator(metro(), overload_config(true)).run(trace);
   const SimResult off =
@@ -536,7 +537,7 @@ TEST(Overload, StaggeredJoinsHaveWarmCapacityAndNoSpill) {
 
 TEST(Overload, OffByDefaultAndZeroSpillWhenOff) {
   EXPECT_FALSE(SimConfig{}.overload);
-  const Trace trace = tiny_swarm({0, 0}, {50, 50});
+  const TraceView trace = tiny_swarm({0, 0}, {50, 50});
   const SimResult off = HybridSimulator(metro(), SimConfig{}).run(trace);
   EXPECT_EQ(off.overload_spill.value(), 0.0);
   EXPECT_TRUE(off.hourly_spill.empty());
@@ -544,7 +545,8 @@ TEST(Overload, OffByDefaultAndZeroSpillWhenOff) {
 
 TEST(Overload, FlashCrowdSpillsAndConservesTotalVolume) {
   const FlashCrowdConfig config = flash_crowd_preset("spike", 1500, 7200, 1);
-  const Trace trace = generate_flash_crowd(metro(), config, 3);
+  const TraceView trace =
+      TraceView::from_trace(generate_flash_crowd(metro(), config, 3));
   const SimResult on =
       HybridSimulator(metro(), overload_config(true)).run(trace);
   const SimResult off =
@@ -565,16 +567,17 @@ TEST(Overload, FlashCrowdSpillsAndConservesTotalVolume) {
 TEST(Overload, BitIdenticalAcrossThreadCountsAndDataPaths) {
   const FlashCrowdConfig config = flash_crowd_preset("spike", 1200, 7200, 1);
   const Trace trace = generate_flash_crowd(metro(), config, 13);
+  const TraceView view = TraceView::from_trace(trace);
   SimConfig sim_config = overload_config(true);
   sim_config.threads = 1;
   const HybridSimulator reference_sim(metro(), sim_config);
-  const SimResult reference = reference_sim.run(trace);
+  const SimResult reference = reference_sim.run(view);
   // The row-structured reference path (virtual Matcher dispatch, no
   // column gathers) must agree bitwise, spill accounting included.
   const SimResult rows = reference_sim.run_rows(trace);
   for (unsigned threads : {2u, 7u, 0u}) {
     sim_config.threads = threads;
-    const SimResult result = HybridSimulator(metro(), sim_config).run(trace);
+    const SimResult result = HybridSimulator(metro(), sim_config).run(view);
     EXPECT_EQ(result.total.server, reference.total.server) << threads;
     EXPECT_EQ(result.total.cross_isp, reference.total.cross_isp) << threads;
     for (std::size_t l = 0; l < kLocalityLevels; ++l) {

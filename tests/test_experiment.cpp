@@ -266,7 +266,8 @@ TEST(ExperimentParity, GoldenCellMatchesStandaloneSimulateAtEveryThreads) {
   trace_config.metro = config.metro;
   trace_config.seed = config.seed;
   trace_config.threads = 1;
-  const Trace trace = TraceGenerator(trace_config, metro).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(trace_config, metro).generate());
   SimConfig sim_config;
   sim_config.threads = 1;
   const Analyzer analyzer(metro, sim_config);
@@ -275,8 +276,8 @@ TEST(ExperimentParity, GoldenCellMatchesStandaloneSimulateAtEveryThreads) {
   run_config.collect_hourly = true;  // --intensity present
   run_config.collect_per_user = false;
   run_config.overload = true;
-  const SimResult expected = HybridSimulator(metro, run_config)
-                                 .run(TraceView::from_trace(trace, 1), nullptr);
+  const SimResult expected =
+      HybridSimulator(metro, run_config).run(trace, nullptr);
 
   std::string reference_render;
   for (const unsigned threads : {1u, 2u, 7u, 0u}) {
@@ -359,7 +360,8 @@ TEST(ExperimentParity, EdgeCacheSpecMatchesBenchComputation) {
   const Metro& metro = MetroRegistry::instance().get(kDefaultMetroName);
   TraceConfig trace_config = TraceConfig::london_month_scaled(10);
   trace_config.threads = 1;
-  const Trace trace = TraceGenerator(trace_config, metro).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(trace_config, metro).generate());
   SimConfig sim_config;
   sim_config.threads = 1;
   sim_config.collect_hourly = false;

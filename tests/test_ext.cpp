@@ -10,10 +10,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <string>
+
+#include <unistd.h>
 
 #include "energy/accounting.h"
+#include "expect_sim_result.h"
 #include "sim/hybrid_sim.h"
 #include "trace/synthetic.h"
+#include "trace/trace_binary.h"
 #include "trace/trace_io.h"
 #include "trace/trace_stats.h"
 #include "util/error.h"
@@ -26,7 +31,7 @@ const Metro& metro() {
   return m;
 }
 
-Trace base_trace() {
+Trace base_rows() {
   TraceConfig tc;
   tc.days = 3;
   tc.users = 3000;
@@ -36,55 +41,57 @@ Trace base_trace() {
   return TraceGenerator(tc, metro()).generate();
 }
 
+TraceView base_trace() { return TraceView::from_trace(base_rows()); }
+
 // ---- preload ----
 
 TEST(Preload, ZeroAdoptionIsIdentity) {
-  const Trace trace = base_trace();
-  const Trace out = apply_preload(trace, {.adoption = 0.0}, 1);
+  const TraceView trace = base_trace();
+  const TraceView out = apply_preload(trace, {.adoption = 0.0}, 1);
   ASSERT_EQ(out.size(), trace.size());
   for (std::size_t i = 0; i < out.size(); i += 101) {
-    EXPECT_DOUBLE_EQ(out.sessions[i].start, trace.sessions[i].start);
+    EXPECT_DOUBLE_EQ(out.start()[i], trace.start()[i]);
   }
 }
 
 TEST(Preload, FullAdoptionMovesEverythingIntoWindow) {
-  const Trace trace = base_trace();
+  const TraceView trace = base_trace();
   const PreloadConfig config{.adoption = 1.0,
                              .window_start_hour = 7.0,
                              .window_end_hour = 9.0};
-  const Trace out = apply_preload(trace, config, 1);
-  for (const auto& s : out.sessions) {
-    const double hour = std::fmod(s.start, 86400.0) / 3600.0;
+  const TraceView out = apply_preload(trace, config, 1);
+  for (const double start : out.start()) {
+    const double hour = std::fmod(start, 86400.0) / 3600.0;
     EXPECT_GE(hour, 7.0 - 1e-9);
     EXPECT_LT(hour, 9.0 + 1e-9);
   }
 }
 
 TEST(Preload, KeepsDayAndDuration) {
-  const Trace trace = base_trace();
-  const Trace out = apply_preload(trace, {.adoption = 1.0}, 1);
+  const TraceView trace = base_trace();
+  const TraceView out = apply_preload(trace, {.adoption = 1.0}, 1);
   ASSERT_EQ(out.size(), trace.size());
   double watch_in = 0, watch_out = 0;
-  for (const auto& s : trace.sessions) watch_in += s.duration;
-  for (const auto& s : out.sessions) watch_out += s.duration;
+  for (const double duration : trace.duration()) watch_in += duration;
+  for (const double duration : out.duration()) watch_out += duration;
   EXPECT_NEAR(watch_out, watch_in, watch_in * 0.001);
 }
 
 TEST(Preload, DeterministicInSeed) {
-  const Trace trace = base_trace();
-  const Trace a = apply_preload(trace, {.adoption = 0.5}, 7);
-  const Trace b = apply_preload(trace, {.adoption = 0.5}, 7);
+  const TraceView trace = base_trace();
+  const TraceView a = apply_preload(trace, {.adoption = 0.5}, 7);
+  const TraceView b = apply_preload(trace, {.adoption = 0.5}, 7);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); i += 53) {
-    EXPECT_DOUBLE_EQ(a.sessions[i].start, b.sessions[i].start);
+    EXPECT_DOUBLE_EQ(a.start()[i], b.start()[i]);
   }
 }
 
 TEST(Preload, ConcentrationRaisesOffload) {
   // Synchronising demand into a 2-hour window increases instantaneous
   // swarm sizes, hence the offloadable share.
-  const Trace trace = base_trace();
-  const Trace preloaded = apply_preload(trace, {.adoption = 1.0}, 3);
+  const TraceView trace = base_trace();
+  const TraceView preloaded = apply_preload(trace, {.adoption = 1.0}, 3);
   HybridSimulator sim(metro(), SimConfig{});
   const double g_base = sim.run(trace).total.offload_fraction();
   const double g_pre = sim.run(preloaded).total.offload_fraction();
@@ -95,10 +102,10 @@ TEST(Preload, KeepsMetroName) {
   // Regression: apply_preload used to rebuild the Trace copying only the
   // span, silently dropping the metro stamp (so resolve_metro fell back
   // to defaults downstream).
-  Trace trace = base_trace();
-  ASSERT_FALSE(trace.metro_name.empty());
-  const Trace out = apply_preload(trace, {.adoption = 0.5}, 1);
-  EXPECT_EQ(out.metro_name, trace.metro_name);
+  const TraceView trace = base_trace();
+  ASSERT_FALSE(trace.metro_name().empty());
+  const TraceView out = apply_preload(trace, {.adoption = 0.5}, 1);
+  EXPECT_EQ(out.metro_name(), trace.metro_name());
 }
 
 TEST(Preload, PartialFinalDayLeavesOverflowUnmoved) {
@@ -124,23 +131,24 @@ TEST(Preload, PartialFinalDayLeavesOverflowUnmoved) {
   const PreloadConfig config{.adoption = 1.0,
                              .window_start_hour = 7.0,
                              .window_end_hour = 9.0};
-  const Trace out = apply_preload(trace, config, 5);
+  const TraceView out =
+      apply_preload(TraceView::from_trace(trace), config, 5);
   ASSERT_EQ(out.size(), trace.size());
 
   std::size_t day0_moved = 0, day1_unmoved = 0, piled_at_end = 0;
-  for (const auto& s : out.sessions) {
-    if (s.start >= span_s - 1.5) ++piled_at_end;
-    if (s.start < 86400.0) {
+  for (const double start : out.start()) {
+    if (start >= span_s - 1.5) ++piled_at_end;
+    if (start < 86400.0) {
       // Day-0 sessions all land inside the window.
-      const double hour = s.start / 3600.0;
+      const double hour = start / 3600.0;
       EXPECT_GE(hour, 7.0 - 1e-9);
       EXPECT_LT(hour, 9.0 + 1e-9);
       ++day0_moved;
     } else {
       // Day-1 targets (86400 + 7·3600 = 111600 s) overflow the 103680 s
       // span, so these sessions keep their original starts.
-      EXPECT_GE(s.start, 86400.0 + 8000.0);
-      EXPECT_LT(s.start, 86400.0 + 8000.0 + 40.0);
+      EXPECT_GE(start, 86400.0 + 8000.0);
+      EXPECT_LT(start, 86400.0 + 8000.0 + 40.0);
       ++day1_unmoved;
     }
   }
@@ -150,7 +158,7 @@ TEST(Preload, PartialFinalDayLeavesOverflowUnmoved) {
 }
 
 TEST(Preload, RejectsBadConfig) {
-  const Trace trace = base_trace();
+  const TraceView trace = base_trace();
   EXPECT_THROW(apply_preload(trace, {.adoption = 1.5}, 1), InvalidArgument);
   EXPECT_THROW(apply_preload(
                    trace, {.window_start_hour = 9.0, .window_end_hour = 7.0},
@@ -185,7 +193,8 @@ TEST(Live, ViewersClusterAroundEventStart) {
 TEST(Live, HugeSwarmsYieldNearCeilingOffload) {
   LiveEventConfig config;
   config.viewers = 4000;
-  const Trace trace = generate_live_event(metro(), config, 5);
+  const TraceView trace =
+      TraceView::from_trace(generate_live_event(metro(), config, 5));
   const auto result = HybridSimulator(metro(), SimConfig{}).run(trace);
   // Thousands of concurrent viewers: G approaches its ceiling of ~1 even
   // after ISP × bitrate splitting.
@@ -302,7 +311,7 @@ TEST(LruSet, RejectsZeroCapacity) {
 }
 
 TEST(EdgeCache, HitRatePositiveOnSkewedCatalogue) {
-  const Trace trace = base_trace();
+  const TraceView trace = base_trace();
   EdgeCacheSimulator sim(metro(), SimConfig{}, EdgeCacheConfig{});
   const auto outcome = sim.run(trace);
   EXPECT_GT(outcome.hit_rate(), 0.0);
@@ -311,7 +320,7 @@ TEST(EdgeCache, HitRatePositiveOnSkewedCatalogue) {
 }
 
 TEST(EdgeCache, BiggerCacheNeverHurtsHitRate) {
-  const Trace trace = base_trace();
+  const TraceView trace = base_trace();
   EdgeCacheSimulator small(metro(), SimConfig{},
                            EdgeCacheConfig{.capacity_per_exp = 2});
   EdgeCacheSimulator large(metro(), SimConfig{},
@@ -328,7 +337,7 @@ TEST(EdgeCache, CachePsiCheaperThanServer) {
 }
 
 TEST(EdgeCache, SavingsBeatPureCdn) {
-  const Trace trace = base_trace();
+  const TraceView trace = base_trace();
   EdgeCacheSimulator sim(metro(), SimConfig{}, EdgeCacheConfig{});
   const auto outcome = sim.run(trace);
   for (const auto& p : standard_params()) {
@@ -337,7 +346,7 @@ TEST(EdgeCache, SavingsBeatPureCdn) {
 }
 
 TEST(EdgeCache, CachePlusP2pBeatsCacheAlone) {
-  const Trace trace = base_trace();
+  const TraceView trace = base_trace();
   EdgeCacheSimulator with_p2p(metro(), SimConfig{},
                               EdgeCacheConfig{.misses_use_p2p = true});
   EdgeCacheSimulator without_p2p(metro(), SimConfig{},
@@ -350,14 +359,43 @@ TEST(EdgeCache, CachePlusP2pBeatsCacheAlone) {
 }
 
 TEST(EdgeCache, VolumeConserved) {
-  const Trace trace = base_trace();
+  const Trace rows = base_rows();
   EdgeCacheSimulator sim(metro(), SimConfig{}, EdgeCacheConfig{});
-  const auto outcome = sim.run(trace);
+  const auto outcome = sim.run(TraceView::from_trace(rows));
   // Cache bits + miss-sim bits ≈ full useful volume (windowing loses a
   // little of the miss traffic only).
   const double recovered = outcome.cache_bits.value() +
                            outcome.miss_sim.total.total().value();
-  EXPECT_NEAR(recovered / trace.total_volume().value(), 1.0, 0.02);
+  EXPECT_NEAR(recovered / rows.total_volume().value(), 1.0, 0.02);
+}
+
+TEST(EdgeCache, MappedAndOwnedViewsGiveBitIdenticalOutcomes) {
+  // The cache replays columns, so a mapped `.cltrace` and the owned view
+  // of the same rows must agree bit for bit — hits, cache bits and the
+  // miss simulation, with P2P misses and with pure-CDN misses.
+  const Trace rows = base_rows();
+  const TraceView owned = TraceView::from_trace(rows);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       (std::to_string(::getpid()) + "_cl_edge_cache.cltrace"))
+          .string();
+  write_trace_binary_file(path, rows);
+  const TraceView mapped = TraceView::open_binary(path);
+  std::filesystem::remove(path);  // the mapping outlives the name
+  ASSERT_TRUE(mapped.zero_copy());
+  ASSERT_FALSE(owned.zero_copy());
+  for (const bool p2p : {true, false}) {
+    SCOPED_TRACE(p2p ? "misses_use_p2p" : "pure-CDN misses");
+    const EdgeCacheSimulator sim(metro(), SimConfig{},
+                                 EdgeCacheConfig{.misses_use_p2p = p2p});
+    const EdgeCacheOutcome a = sim.run(mapped);
+    const EdgeCacheOutcome b = sim.run(owned);
+    EXPECT_GT(a.hits, 0u);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.cache_bits.value(), b.cache_bits.value());
+    expect_sim_result_identical(a.miss_sim, b.miss_sim);
+  }
 }
 
 }  // namespace

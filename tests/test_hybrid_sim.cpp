@@ -35,17 +35,18 @@ SessionRecord session(std::uint32_t user, std::uint32_t content, double start,
   return s;
 }
 
-Trace make_trace(std::vector<SessionRecord> sessions, double span_s) {
+TraceView make_trace(std::vector<SessionRecord> sessions, double span_s) {
   std::sort(sessions.begin(), sessions.end(),
             [](const SessionRecord& a, const SessionRecord& b) {
               return a.start < b.start;
             });
-  return Trace{std::move(sessions), Seconds{span_s}, {}, {}};
+  return TraceView::from_trace(
+      Trace{std::move(sessions), Seconds{span_s}, {}, {}});
 }
 
 /// Poisson single-swarm trace with constant arrival rate (no diurnal
 /// pattern) — the exact setting of the analytical model.
-Trace poisson_swarm(double capacity, double mean_duration_s, double span_s,
+TraceView poisson_swarm(double capacity, double mean_duration_s, double span_s,
                     std::uint64_t seed, std::uint32_t isp = 0) {
   Rng rng(seed);
   std::vector<SessionRecord> sessions;
@@ -165,13 +166,13 @@ TEST(HybridSim, ConservationOnRealisticTrace) {
   tc.exemplar_views = {15000};
   tc.catalogue_tail = 200;
   tc.tail_views = 10000;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const Trace rows = TraceGenerator(tc, metro()).generate();
   HybridSimulator sim(metro(), SimConfig{});
-  const auto result = sim.run(trace);
+  const auto result = sim.run(TraceView::from_trace(rows));
 
   // (1) Simulated volume must track the trace's useful volume (windowing
   // loses partial windows, < 2 %).
-  EXPECT_NEAR(result.total.total().value() / trace.total_volume().value(),
+  EXPECT_NEAR(result.total.total().value() / rows.total_volume().value(),
               1.0, 0.02);
 
   // (2) Swarm traffic must add up to the grand total.
@@ -210,7 +211,8 @@ TEST(HybridSim, CollectTogglesOnlyDropMetrics) {
   tc.exemplar_views = {5000};
   tc.catalogue_tail = 50;
   tc.tail_views = 3000;
-  const Trace trace = TraceGenerator(tc, metro()).generate();
+  const TraceView trace =
+      TraceView::from_trace(TraceGenerator(tc, metro()).generate());
   SimConfig lean;
   lean.collect_hourly = false;
   lean.collect_per_user = false;
@@ -227,7 +229,7 @@ TEST(HybridSim, CollectTogglesOnlyDropMetrics) {
 }
 
 TEST(HybridSim, MeasuredCapacityMatchesLittlesLaw) {
-  const Trace trace = poisson_swarm(4.0, 1800.0, 10 * 86400.0, 77);
+  const TraceView trace = poisson_swarm(4.0, 1800.0, 10 * 86400.0, 77);
   SimConfig config;
   HybridSimulator sim(metro(), config);
   const auto result = sim.run(trace);
@@ -257,7 +259,7 @@ TEST(HybridSim, OffloadMatchesTheoryOnPoissonSwarm) {
           static_cast<std::uint32_t>(rng.uniform_index(345))));
       t += rng.exponential(rate);
     }
-    const Trace trace = make_trace(std::move(sessions), span_s);
+    const TraceView trace = make_trace(std::move(sessions), span_s);
     const auto result = HybridSimulator(metro(), config).run(trace);
     double measured_capacity = 0;
     for (const auto& s : result.swarms) measured_capacity += s.capacity;
@@ -269,7 +271,7 @@ TEST(HybridSim, OffloadMatchesTheoryOnPoissonSwarm) {
 }
 
 TEST(HybridSim, SavingsMatchTheoryOnPoissonSwarm) {
-  const Trace trace = poisson_swarm(5.0, 1800.0, 20 * 86400.0, 4242);
+  const TraceView trace = poisson_swarm(5.0, 1800.0, 20 * 86400.0, 4242);
   SimConfig config;
   const auto result = HybridSimulator(metro(), config).run(trace);
   double measured_capacity = 0;
@@ -287,7 +289,7 @@ TEST(HybridSim, MatchersAgreeAtFullUploadRatio) {
   // At q/β = 1 both matchers deliver (L−1)·β·Δτ per window: the existence
   // matcher by construction, the capacity matcher because aggregate budget
   // L·β covers the (L−1)·β demand.
-  const Trace trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 99);
+  const TraceView trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 99);
   SimConfig existence;
   SimConfig capacity;
   capacity.matcher = MatcherKind::kCapacity;
@@ -302,7 +304,7 @@ TEST(HybridSim, CapacityMatcherPoolsUploadersBelowFullRatio) {
   // feed one downloader (the paper notes SD streams "can be sustained if
   // two or more peers collaborate"), beating the per-pair-limited
   // existence model.
-  const Trace trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 99);
+  const TraceView trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 99);
   SimConfig existence;
   SimConfig capacity;
   capacity.matcher = MatcherKind::kCapacity;
@@ -366,7 +368,7 @@ TEST(HybridSim, SessionSpanningMidnightSplitsAcrossDays) {
 }
 
 TEST(HybridSim, DeterministicAcrossRuns) {
-  const Trace trace = poisson_swarm(2.0, 1200.0, 3 * 86400.0, 7);
+  const TraceView trace = poisson_swarm(2.0, 1200.0, 3 * 86400.0, 7);
   const auto a = HybridSimulator(metro(), SimConfig{}).run(trace);
   const auto b = HybridSimulator(metro(), SimConfig{}).run(trace);
   EXPECT_DOUBLE_EQ(a.total.server.value(), b.total.server.value());
@@ -385,7 +387,7 @@ TEST(HybridSim, RejectsInvalidConfig) {
 
 TEST(HybridSim, WindowSizeInsensitivity) {
   // Δτ = 10 s vs Δτ = 30 s must agree closely on long sessions.
-  const Trace trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 13);
+  const TraceView trace = poisson_swarm(3.0, 1800.0, 5 * 86400.0, 13);
   SimConfig w10, w30;
   w30.window = Seconds{30.0};
   const auto r10 = HybridSimulator(metro(), w10).run(trace);

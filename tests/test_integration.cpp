@@ -31,29 +31,34 @@ class IntegrationTest : public ::testing::Test {
     const TraceConfig tc = TraceConfig::london_month_scaled(/*days=*/6);
     generator_ = new TraceGenerator(tc, metro());
     trace_ = new Trace(generator_->generate());
+    view_ = new TraceView(TraceView::from_trace(*trace_));
     analyzer_ = new Analyzer(metro(), SimConfig{});
-    result_ = new SimResult(analyzer_->simulate(*trace_));
+    result_ = new SimResult(analyzer_->simulate(*view_));
   }
 
   static void TearDownTestSuite() {
     delete result_;
     delete analyzer_;
+    delete view_;
     delete trace_;
     delete generator_;
     result_ = nullptr;
     analyzer_ = nullptr;
+    view_ = nullptr;
     trace_ = nullptr;
     generator_ = nullptr;
   }
 
   static TraceGenerator* generator_;
   static Trace* trace_;
+  static TraceView* view_;  ///< trace_'s columns
   static Analyzer* analyzer_;
   static SimResult* result_;
 };
 
 TraceGenerator* IntegrationTest::generator_ = nullptr;
 Trace* IntegrationTest::trace_ = nullptr;
+TraceView* IntegrationTest::view_ = nullptr;
 Analyzer* IntegrationTest::analyzer_ = nullptr;
 SimResult* IntegrationTest::result_ = nullptr;
 
@@ -76,8 +81,10 @@ TEST_F(IntegrationTest, PopularItemDominatesSavings) {
   // Fig. 2/3: the popular exemplar saves a large multiple of the
   // unpopular one.
   const Analyzer& analyzer = *analyzer_;
-  const Trace popular = filter_by_isp(filter_by_content(*trace_, 0), 0);
-  const Trace unpopular = filter_by_isp(filter_by_content(*trace_, 2), 0);
+  const TraceView popular =
+      TraceView::from_trace(filter_by_isp(filter_by_content(*trace_, 0), 0));
+  const TraceView unpopular =
+      TraceView::from_trace(filter_by_isp(filter_by_content(*trace_, 2), 0));
   const auto e_pop = analyzer.analyze_swarm(popular, 0);
   const auto e_unpop = analyzer.analyze_swarm(unpopular, 0);
   EXPECT_GT(e_pop.models[0].sim_savings,
@@ -87,7 +94,7 @@ TEST_F(IntegrationTest, PopularItemDominatesSavings) {
 
 TEST_F(IntegrationTest, MedianSwarmSavingsTiny) {
   // Fig. 3: median per-item savings ≈ 2 %, top items much larger.
-  const auto dist = analyzer_->swarm_distributions(*trace_);
+  const auto dist = analyzer_->swarm_distributions(*view_);
   auto savings = dist.savings[0];
   std::sort(savings.begin(), savings.end());
   const double median = quantile_sorted(savings, 0.5);
@@ -96,7 +103,7 @@ TEST_F(IntegrationTest, MedianSwarmSavingsTiny) {
 }
 
 TEST_F(IntegrationTest, SwarmCapacityDistributionIsHeavyTailed) {
-  const auto dist = analyzer_->swarm_distributions(*trace_);
+  const auto dist = analyzer_->swarm_distributions(*view_);
   const auto ccdf = empirical_ccdf(dist.capacities);
   ASSERT_GT(ccdf.size(), 10u);
   // Most swarms are far below capacity 1; a head reaches past 5.
@@ -123,7 +130,7 @@ TEST_F(IntegrationTest, CarbonLedgerOrderingMatchesFig6) {
 }
 
 TEST_F(IntegrationTest, DailySeriesStable) {
-  const auto report = analyzer_->daily_report(*trace_);
+  const auto report = analyzer_->daily_report(*view_);
   // Savings of the biggest ISP fluctuate day to day but stay in the band
   // of the paper's Fig. 4 (~0.25–0.35 for Valancius, ~0.14–0.22 Baliga).
   for (std::size_t d = 0; d < report.sim[0].size(); ++d) {
@@ -137,7 +144,7 @@ TEST_F(IntegrationTest, DailySeriesStable) {
 TEST_F(IntegrationTest, TheoryUsableForPlanning) {
   // Closed form predicts the aggregate within ~8 points — the property
   // the paper argues makes Eq. 12 usable for planning.
-  const auto outcomes = analyzer_->aggregate(*trace_);
+  const auto outcomes = analyzer_->aggregate(*view_);
   for (const auto& o : outcomes) {
     EXPECT_NEAR(o.sim_savings, o.theory_savings, 0.08) << o.model;
   }
@@ -149,7 +156,7 @@ TEST_F(IntegrationTest, TraceSurvivesIoRoundTripThroughPipeline) {
   std::ostringstream out;
   write_trace(out, *trace_);
   std::istringstream in(out.str());
-  const Trace restored = read_trace(in);
+  const TraceView restored = TraceView::from_trace(read_trace(in));
   const auto rerun = analyzer_->simulate(restored);
   EXPECT_NEAR(rerun.total.total().value(), result_->total.total().value(),
               result_->total.total().value() * 1e-9);
@@ -169,7 +176,8 @@ TEST_F(IntegrationTest, TableOneScalesSanely) {
 
 TEST_F(IntegrationTest, UploadBandwidthSweepMatchesFig2Ordering) {
   // Savings increase monotonically with q/β on the popular item.
-  const Trace popular = filter_by_isp(filter_by_content(*trace_, 0), 0);
+  const TraceView popular =
+      TraceView::from_trace(filter_by_isp(filter_by_content(*trace_, 0), 0));
   double prev = -1.0;
   for (double ratio : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     SimConfig config;
@@ -186,7 +194,7 @@ TEST_F(IntegrationTest, IspFriendlinessCostsSavings) {
   // across ISPs can only raise the offload fraction.
   SimConfig cross;
   cross.isp_friendly = false;
-  const auto merged = HybridSimulator(metro(), cross).run(*trace_);
+  const auto merged = HybridSimulator(metro(), cross).run(*view_);
   EXPECT_GE(merged.total.offload_fraction(),
             result_->total.offload_fraction());
 }

@@ -224,7 +224,7 @@ TEST(ParallelChunkedReduce, StatefulVariantReusesWorkerState) {
   }
 }
 
-SimResult run_sim(const Trace& trace, unsigned threads) {
+SimResult run_sim(const TraceView& trace, unsigned threads) {
   SimConfig config;  // all collection toggles on
   config.threads = threads;
   static const Metro& m = metro();
@@ -233,7 +233,8 @@ SimResult run_sim(const Trace& trace, unsigned threads) {
 
 TEST(ShardedSimulator, SimResultBitIdenticalAcrossThreadCounts) {
   // Multi-swarm trace: several contents × ISPs × bitrates.
-  const Trace trace = TraceGenerator(small_config(0), metro()).generate();
+  const TraceView trace = TraceView::from_trace(
+      TraceGenerator(small_config(0), metro()).generate());
   const SimResult reference = run_sim(trace, 1);
   ASSERT_GT(reference.swarms.size(), 8u);  // genuinely multi-swarm
   // 0 = all hardware threads.
@@ -244,7 +245,8 @@ TEST(ShardedSimulator, SimResultBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ShardedSimulator, SwarmsStayKeySortedAtEveryThreadCount) {
-  const Trace trace = TraceGenerator(small_config(0), metro()).generate();
+  const TraceView trace = TraceView::from_trace(
+      TraceGenerator(small_config(0), metro()).generate());
   for (unsigned threads : {1u, 4u}) {
     const SimResult result = run_sim(trace, threads);
     for (std::size_t s = 1; s < result.swarms.size(); ++s) {
@@ -255,7 +257,8 @@ TEST(ShardedSimulator, SwarmsStayKeySortedAtEveryThreadCount) {
 }
 
 TEST(ShardedSimulator, EmptyTraceIdenticalAcrossThreadCounts) {
-  const Trace empty{{}, Seconds{86400.0}, {}, {}};
+  const TraceView empty =
+      TraceView::from_trace(Trace{{}, Seconds{86400.0}, {}, {}});
   const SimResult reference = run_sim(empty, 1);
   EXPECT_EQ(reference.total.total().value(), 0.0);
   EXPECT_TRUE(reference.swarms.empty());
@@ -279,7 +282,8 @@ TEST(ShardedSimulator, SingleSwarmIdenticalAcrossThreadCounts) {
     s.duration = 900.0;
     sessions.push_back(s);
   }
-  const Trace trace{std::move(sessions), Seconds{86400.0}, {}, {}};
+  const TraceView trace = TraceView::from_trace(
+      Trace{std::move(sessions), Seconds{86400.0}, {}, {}});
   const SimResult reference = run_sim(trace, 1);
   ASSERT_EQ(reference.swarms.size(), 1u);
   expect_sim_result_identical(run_sim(trace, 4), reference);
@@ -302,7 +306,8 @@ TEST(ShardedSimulator, AllSubWindowSessionsIdenticalAcrossThreadCounts) {
     s.duration = 4.0;  // < the 10 s default window
     sessions.push_back(s);
   }
-  const Trace trace{std::move(sessions), Seconds{86400.0}, {}, {}};
+  const TraceView trace = TraceView::from_trace(
+      Trace{std::move(sessions), Seconds{86400.0}, {}, {}});
   const SimResult reference = run_sim(trace, 1);
   EXPECT_EQ(reference.total.total().value(), 0.0);
   EXPECT_FALSE(reference.swarms.empty());
@@ -394,7 +399,8 @@ TEST(ShardedSimulator, OversizedSwarmGuardIsInPlace) {
 }
 
 TEST(ShardedAnalysis, AnalyzerOutputsBitIdenticalAcrossThreadCounts) {
-  const Trace trace = TraceGenerator(small_config(0), metro()).generate();
+  const TraceView trace = TraceView::from_trace(
+      TraceGenerator(small_config(0), metro()).generate());
 
   SimConfig base;
   base.threads = 1;

@@ -299,9 +299,10 @@ TEST(PreloadView, RejectsBadConfig) {
 
 TEST(PreloadView, RowAdaptersMatchReference) {
   const Trace rows = csv_trace(true);
+  const TraceView view = TraceView::from_trace(rows);
   for (const PreloadConfig& config : kWindows) {
     const Trace reference = testing_reference::apply_preload(rows, config, 8);
-    const Trace out = apply_preload(rows, config, 8);
+    const Trace out = apply_preload(view, config, 8).to_trace();
     EXPECT_EQ(first_mismatch(TraceView::from_trace(out), reference),
               reference.size());
     EXPECT_EQ(out.size(), reference.size());

@@ -39,7 +39,7 @@ TEST(Report, TraceStatsContainsAllRows) {
 }
 
 TEST(Report, SwarmExperimentShowsBothModels) {
-  const Trace trace = tiny_trace();
+  const TraceView trace = TraceView::from_trace(tiny_trace());
   const Analyzer analyzer(metro(), SimConfig{});
   std::ostringstream out;
   print_swarm_experiment(std::cout ? out : out,
@@ -51,7 +51,7 @@ TEST(Report, SwarmExperimentShowsBothModels) {
 }
 
 TEST(Report, AggregateShowsEnergyColumns) {
-  const Trace trace = tiny_trace();
+  const TraceView trace = TraceView::from_trace(tiny_trace());
   const Analyzer analyzer(metro(), SimConfig{});
   std::ostringstream out;
   print_aggregate(out, analyzer.aggregate(trace));
@@ -62,7 +62,7 @@ TEST(Report, AggregateShowsEnergyColumns) {
 }
 
 TEST(Report, LedgerSummaryShowsHeadline) {
-  const Trace trace = tiny_trace();
+  const TraceView trace = TraceView::from_trace(tiny_trace());
   const Analyzer analyzer(metro(), SimConfig{});
   const SimResult result = analyzer.simulate(trace);
   const CarbonLedger ledger(result, baliga_params());

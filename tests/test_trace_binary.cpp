@@ -20,6 +20,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -27,6 +28,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "sim/swarm_key.h"
@@ -35,6 +37,7 @@
 #include "trace/trace_format.h"
 #include "trace/trace_io.h"
 #include "trace/trace_mmap.h"
+#include "trace/trace_view.h"
 #include "trace/synthetic.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -549,151 +552,260 @@ TEST(TraceBinaryGolden, LegacyV1ReportsItsVersion) {
   EXPECT_EQ(current.metro_name(), "london_top5");
 }
 
+TEST(TraceBinaryGolden, RowLoaderIsTheViewDecoderMaterialized) {
+  // One `.cltrace` decoder: the row loader is open_binary + to_trace,
+  // field for field — sessions, span, metro and swarm index — at every
+  // thread count, on the current and the legacy layout.
+  for (const std::string& path : {golden_path(), golden_v1_path()}) {
+    const Trace from_view = TraceView::open_binary(path).to_trace();
+    for (const unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE(path + " threads=" + std::to_string(threads));
+      const Trace rows = read_trace_binary_file(path, threads);
+      expect_sessions_identical(rows, from_view);
+      ASSERT_EQ(rows.swarm_index.groups.size(),
+                from_view.swarm_index.groups.size());
+      for (std::size_t g = 0; g < rows.swarm_index.groups.size(); ++g) {
+        const SwarmIndexGroup& a = rows.swarm_index.groups[g];
+        const SwarmIndexGroup& b = from_view.swarm_index.groups[g];
+        EXPECT_EQ(a.content, b.content);
+        EXPECT_EQ(a.isp, b.isp);
+        EXPECT_EQ(a.bitrate, b.bitrate);
+        EXPECT_EQ(a.begin, b.begin);
+        EXPECT_EQ(a.count, b.count);
+      }
+      EXPECT_EQ(rows.swarm_index.order, from_view.swarm_index.order);
+    }
+  }
+}
+
 // ------------------------------------------------------- corrupt rejection
 
+/// One hostile `.cltrace` payload: how to build its bytes from a valid
+/// file, and a substring the ParseError must carry (empty: any message).
+struct CorruptCase {
+  const char* name;
+  std::string (*bytes)();
+  const char* needle;
+};
+
+/// The payload offset of block `id` in serialized bytes (directory
+/// entries are written in block-id order: entry `id` sits at 40 + id*24,
+/// its payload offset 8 bytes in).
+std::uint64_t block_offset(const std::string& bytes, std::size_t id) {
+  return load_u64_le(reinterpret_cast<const unsigned char*>(bytes.data()) +
+                     40 + id * 24 + 8);
+}
+
+unsigned char* mutable_bytes(std::string& bytes) {
+  return reinterpret_cast<unsigned char*>(bytes.data());
+}
+
+/// Every corrupt-file case, shared by both `.cltrace` loaders.
+const std::vector<CorruptCase>& corrupt_cases() {
+  static const std::vector<CorruptCase> cases = {
+      {"truncated_header",
+       [] { return serialize_trace_binary(tiny_trace()).substr(0, 20); },
+       ""},
+      {"bad_magic",
+       [] {
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         bytes[0] = 'X';
+         return bytes;
+       },
+       "magic"},
+      {"wrong_version",
+       [] {
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         store_u32_le(mutable_bytes(bytes) + 8, kTraceBinaryVersion + 1);
+         return bytes;
+       },
+       "version"},
+      {"truncated_column_block",
+       [] {
+         const std::string bytes = serialize_trace_binary(tiny_trace());
+         return bytes.substr(0, bytes.size() - 6);
+       },
+       ""},
+      {"trailing_bytes",
+       [] {
+         return serialize_trace_binary(tiny_trace()) + std::string(16, '\0');
+       },
+       ""},
+      {"wrong_block_count",
+       [] {
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         store_u32_le(mutable_bytes(bytes) + 32, kTraceBinaryBlockCount - 1);
+         return bytes;
+       },
+       ""},
+      {"bitrate_out_of_range",
+       [] {
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         mutable_bytes(bytes)[block_offset(bytes, 5)] = 9;  // no such class
+         return bytes;
+       },
+       "bitrate"},
+      {"tampered_index_order",
+       [] {
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         unsigned char* order = mutable_bytes(bytes) + block_offset(bytes, 12);
+         const std::uint32_t first = load_u32_le(order);
+         const std::uint32_t second = load_u32_le(order + 4);
+         store_u32_le(order, second);  // swap the first two entries
+         store_u32_le(order + 4, first);
+         return bytes;
+       },
+       "swarm index"},
+      {"span_smaller_than_sessions",
+       [] {
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         store_f64_le(mutable_bytes(bytes) + 24, 1.0);
+         return bytes;
+       },
+       ""},
+      {"control_character_in_metro_block",
+       [] {
+         Trace t = tiny_trace();
+         t.metro_name = "ok";
+         std::string bytes = serialize_trace_binary(t);
+         mutable_bytes(bytes)[block_offset(bytes, 13)] = '\n';
+         return bytes;
+       },
+       "metro"},
+      {"oversized_metro_directory_count",
+       [] {
+         // Claim a metro-name block longer than the cap; whichever check
+         // fires first (length cap or bounds), the file is rejected.
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         store_u64_le(mutable_bytes(bytes) + 40 + 13 * 24 + 16,
+                      kTraceMetroNameMaxBytes + 1);
+         return bytes;
+       },
+       ""},
+      {"legacy_version_with_current_block_count",
+       [] {
+         // A v2 file relabeled as v1 lies about its shape: v1 has 13
+         // blocks.
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         store_u32_le(mutable_bytes(bytes) + 8, kTraceBinaryLegacyVersion);
+         return bytes;
+       },
+       ""},
+      {"version_zero",
+       [] {
+         std::string bytes = serialize_trace_binary(tiny_trace());
+         store_u32_le(mutable_bytes(bytes) + 8, 0);
+         return bytes;
+       },
+       ""},
+  };
+  return cases;
+}
+
+/// `load` rejects `path` with a ParseError whose message carries `needle`.
+template <typename Load>
+void expect_parse_error(const Load& load, const std::string& path,
+                        const std::string& needle) {
+  EXPECT_THROW(
+      try { load(path); } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+        throw;
+      },
+      ParseError);
+}
+
+/// Writes corrupt case `name` and asserts that both loaders — the row
+/// loader and the zero-copy view — reject it.
+void expect_corrupt_rejected(const std::string& name) {
+  const auto& cases = corrupt_cases();
+  const auto it =
+      std::find_if(cases.begin(), cases.end(),
+                   [&](const CorruptCase& c) { return c.name == name; });
+  ASSERT_NE(it, cases.end()) << "no corrupt case " << name;
+  const std::string path =
+      write_bytes("cl_corrupt_" + name + ".cltrace", it->bytes());
+  expect_parse_error(
+      [](const std::string& p) { (void)read_trace_binary_file(p); }, path,
+      it->needle);
+  expect_parse_error(
+      [](const std::string& p) { (void)TraceView::open_binary(p); }, path,
+      it->needle);
+  std::filesystem::remove(path);
+}
+
 TEST(TraceBinaryCorrupt, RejectsMissingFile) {
-  EXPECT_THROW(read_trace_binary_file("/nonexistent/path/trace.cltrace"),
-               IoError);
+  const std::string path = "/nonexistent/path/trace.cltrace";
+  EXPECT_THROW((void)read_trace_binary_file(path), IoError);
+  EXPECT_THROW((void)TraceView::open_binary(path), IoError);
 }
 
 TEST(TraceBinaryCorrupt, RejectsTruncatedHeader) {
-  const std::string path =
-      write_bytes("cl_corrupt_short.cltrace",
-                  serialize_trace_binary(tiny_trace()).substr(0, 20));
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("truncated_header");
 }
 
 TEST(TraceBinaryCorrupt, RejectsBadMagic) {
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  bytes[0] = 'X';
-  const std::string path = write_bytes("cl_corrupt_magic.cltrace", bytes);
-  EXPECT_THROW(
-      try { (void)read_trace_binary_file(path); } catch (const ParseError& e) {
-        EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos);
-        throw;
-      },
-      ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("bad_magic");
 }
 
 TEST(TraceBinaryCorrupt, RejectsWrongVersion) {
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  store_u32_le(reinterpret_cast<unsigned char*>(bytes.data()) + 8,
-               kTraceBinaryVersion + 1);
-  const std::string path = write_bytes("cl_corrupt_version.cltrace", bytes);
-  EXPECT_THROW(
-      try { (void)read_trace_binary_file(path); } catch (const ParseError& e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
-        throw;
-      },
-      ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("wrong_version");
 }
 
 TEST(TraceBinaryCorrupt, RejectsTruncatedColumnBlock) {
-  const std::string bytes = serialize_trace_binary(tiny_trace());
-  const std::string path = write_bytes("cl_corrupt_truncated.cltrace",
-                                       bytes.substr(0, bytes.size() - 6));
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("truncated_column_block");
 }
 
 TEST(TraceBinaryCorrupt, RejectsTrailingBytes) {
-  const std::string path = write_bytes(
-      "cl_corrupt_trailing.cltrace",
-      serialize_trace_binary(tiny_trace()) + std::string(16, '\0'));
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("trailing_bytes");
 }
 
 TEST(TraceBinaryCorrupt, RejectsWrongBlockCount) {
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  store_u32_le(reinterpret_cast<unsigned char*>(bytes.data()) + 32,
-               kTraceBinaryBlockCount - 1);
-  const std::string path = write_bytes("cl_corrupt_blocks.cltrace", bytes);
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("wrong_block_count");
 }
 
 TEST(TraceBinaryCorrupt, RejectsBitrateOutOfRange) {
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  auto* p = reinterpret_cast<unsigned char*>(bytes.data());
-  // Directory entries are written in block-id order: entry 5 (bitrate
-  // column) sits at 40 + 5*24; its payload offset is 8 bytes in.
-  const std::uint64_t offset = load_u64_le(p + 40 + 5 * 24 + 8);
-  p[offset] = 9;  // not a BitrateClass
-  const std::string path = write_bytes("cl_corrupt_bitrate.cltrace", bytes);
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("bitrate_out_of_range");
 }
 
 TEST(TraceBinaryCorrupt, RejectsTamperedIndexOrder) {
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  auto* p = reinterpret_cast<unsigned char*>(bytes.data());
-  const std::uint64_t offset = load_u64_le(p + 40 + 12 * 24 + 8);
-  const std::uint32_t first = load_u32_le(p + offset);
-  const std::uint32_t second = load_u32_le(p + offset + 4);
-  store_u32_le(p + offset, second);  // swap the first two entries
-  store_u32_le(p + offset + 4, first);
-  const std::string path = write_bytes("cl_corrupt_index.cltrace", bytes);
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("tampered_index_order");
 }
 
 TEST(TraceBinaryCorrupt, RejectsSpanSmallerThanSessions) {
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  store_f64_le(reinterpret_cast<unsigned char*>(bytes.data()) + 24, 1.0);
-  const std::string path = write_bytes("cl_corrupt_span.cltrace", bytes);
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("span_smaller_than_sessions");
 }
 
 TEST(TraceBinaryCorrupt, RejectsControlCharacterInMetroBlock) {
-  Trace t = tiny_trace();
-  t.metro_name = "ok";
-  std::string bytes = serialize_trace_binary(t);
-  auto* p = reinterpret_cast<unsigned char*>(bytes.data());
-  // Directory entries are written in block-id order: entry 13 (metro
-  // name) sits at 40 + 13*24; its payload offset is 8 bytes in.
-  const std::uint64_t offset = load_u64_le(p + 40 + 13 * 24 + 8);
-  p[offset] = '\n';
-  const std::string path = write_bytes("cl_corrupt_metro.cltrace", bytes);
-  EXPECT_THROW(
-      try { (void)read_trace_binary_file(path); } catch (const ParseError& e) {
-        EXPECT_NE(std::string(e.what()).find("metro"), std::string::npos);
-        throw;
-      },
-      ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("control_character_in_metro_block");
 }
 
 TEST(TraceBinaryCorrupt, RejectsOversizedMetroDirectoryCount) {
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  auto* p = reinterpret_cast<unsigned char*>(bytes.data());
-  // Claim a metro-name block longer than the cap; whichever check fires
-  // first (length cap or bounds), the file must be rejected outright.
-  store_u64_le(p + 40 + 13 * 24 + 16, kTraceMetroNameMaxBytes + 1);
-  const std::string path = write_bytes("cl_corrupt_metrolen.cltrace", bytes);
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("oversized_metro_directory_count");
 }
 
 TEST(TraceBinaryCorrupt, RejectsLegacyVersionWithCurrentBlockCount) {
-  // A v2 file relabeled as v1 lies about its shape: v1 has 13 blocks.
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  store_u32_le(reinterpret_cast<unsigned char*>(bytes.data()) + 8,
-               kTraceBinaryLegacyVersion);
-  const std::string path = write_bytes("cl_corrupt_relabel.cltrace", bytes);
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
-  std::filesystem::remove(path);
+  expect_corrupt_rejected("legacy_version_with_current_block_count");
 }
 
 TEST(TraceBinaryCorrupt, RejectsVersionZero) {
-  std::string bytes = serialize_trace_binary(tiny_trace());
-  store_u32_le(reinterpret_cast<unsigned char*>(bytes.data()) + 8, 0);
-  const std::string path = write_bytes("cl_corrupt_v0.cltrace", bytes);
-  EXPECT_THROW(read_trace_binary_file(path), ParseError);
+  expect_corrupt_rejected("version_zero");
+}
+
+TEST(TraceBinaryCorrupt, RejectsNegativeSpan) {
+  // An empty trace has no session for the span check to trip on; the
+  // header's span itself must be non-negative.
+  Trace empty;
+  empty.span = Seconds{86400.0};
+  std::string bytes = serialize_trace_binary(empty);
+  store_f64_le(mutable_bytes(bytes) + 24, -1.0);
+  const std::string path = write_bytes("cl_corrupt_negspan.cltrace", bytes);
+  expect_parse_error(
+      [](const std::string& p) { (void)read_trace_binary_file(p); }, path,
+      "span");
+  expect_parse_error(
+      [](const std::string& p) { (void)TraceView::open_binary(p); }, path,
+      "span");
   std::filesystem::remove(path);
 }
 
@@ -761,8 +873,9 @@ void expect_aggregates_identical(const std::vector<AggregateOutcome>& a,
   }
 }
 
-/// Shared workload for the sim/analyzer determinism tests below.
-const Trace& determinism_trace_csv() {
+/// Shared workload for the sim/analyzer determinism tests below, as the
+/// CSV loader produces it.
+const Trace& determinism_rows() {
   static const Trace trace = [] {
     TraceConfig config;
     config.days = 3;
@@ -781,22 +894,27 @@ const Trace& determinism_trace_csv() {
   return trace;
 }
 
-const Trace& determinism_trace_binary() {
-  static const Trace trace = [] {
+const TraceView& determinism_trace_csv() {
+  static const TraceView view = TraceView::from_trace(determinism_rows());
+  return view;
+}
+
+const TraceView& determinism_trace_binary() {
+  static const TraceView view = [] {
     const std::string path = temp_path("cl_det_sim.cltrace");
-    write_trace_binary_file(path, determinism_trace_csv());
-    Trace loaded = read_trace_binary_file(path, 2);
-    std::filesystem::remove(path);
+    write_trace_binary_file(path, determinism_rows());
+    TraceView loaded = TraceView::open_binary(path, 2);
+    std::filesystem::remove(path);  // the mapping outlives the name
     return loaded;
   }();
-  return trace;
+  return view;
 }
 
 TEST(TraceBinaryDeterminism, SimResultBitIdenticalMmapVsCsvAcrossThreads) {
-  const Trace& csv = determinism_trace_csv();
-  const Trace& binary = determinism_trace_binary();
-  EXPECT_TRUE(csv.swarm_index.empty());     // hash-grouping path
-  EXPECT_FALSE(binary.swarm_index.empty()); // persisted-index path
+  const TraceView& csv = determinism_trace_csv();
+  const TraceView& binary = determinism_trace_binary();
+  EXPECT_FALSE(csv.has_index());   // hash-grouping path
+  EXPECT_TRUE(binary.has_index());  // persisted-index path
 
   SimConfig reference_config;
   reference_config.threads = 1;
@@ -843,14 +961,14 @@ TEST(TraceBinaryDeterminism, SimResultBitIdenticalMmapVsCsvAcrossThreads) {
 TEST(TraceBinaryDeterminism, IndexPathBitIdenticalToHashGroupingPath) {
   // Same sessions with and without the persisted index: the simulator
   // must produce bit-identical results through either grouping path.
-  const Trace& binary = determinism_trace_binary();
-  Trace stripped = binary;
+  const TraceView& binary = determinism_trace_binary();
+  Trace stripped = binary.to_trace();
   stripped.swarm_index = SwarmIndex{};
   SimConfig config;
   config.threads = 2;
   const HybridSimulator sim(metro(), config);
   const SimResult with_index = sim.run(binary);
-  const SimResult without_index = sim.run(stripped);
+  const SimResult without_index = sim.run(TraceView::from_trace(stripped));
   EXPECT_EQ(with_index.total.server.value(),
             without_index.total.server.value());
   ASSERT_EQ(with_index.swarms.size(), without_index.swarms.size());
@@ -867,8 +985,8 @@ TEST(TraceBinaryDeterminism, IndexPathBitIdenticalToHashGroupingPath) {
 TEST(TraceBinaryDeterminism, RelaxedPartitionsIgnoreIndexAndMatchCsv) {
   // Cross-ISP / mixed-bitrate ablations cannot use the full-key index;
   // they must fall back to hash grouping and still match the CSV path.
-  const Trace& csv = determinism_trace_csv();
-  const Trace& binary = determinism_trace_binary();
+  const TraceView& csv = determinism_trace_csv();
+  const TraceView& binary = determinism_trace_binary();
   for (const bool isp_friendly : {false, true}) {
     SimConfig config;
     config.threads = 2;
@@ -884,8 +1002,8 @@ TEST(TraceBinaryDeterminism, RelaxedPartitionsIgnoreIndexAndMatchCsv) {
 }
 
 TEST(TraceBinaryDeterminism, AnalyzerAggregateIdenticalMmapVsCsv) {
-  const Trace& csv = determinism_trace_csv();
-  const Trace& binary = determinism_trace_binary();
+  const TraceView& csv = determinism_trace_csv();
+  const TraceView& binary = determinism_trace_binary();
   SimConfig reference_config;
   reference_config.threads = 1;
   const auto reference = Analyzer(metro(), reference_config).aggregate(csv);
@@ -898,8 +1016,8 @@ TEST(TraceBinaryDeterminism, AnalyzerAggregateIdenticalMmapVsCsv) {
 }
 
 TEST(TraceBinaryDeterminism, AnalyzerDailyReportIdenticalMmapVsCsv) {
-  const Trace& csv = determinism_trace_csv();
-  const Trace& binary = determinism_trace_binary();
+  const TraceView& csv = determinism_trace_csv();
+  const TraceView& binary = determinism_trace_binary();
   SimConfig reference_config;
   reference_config.threads = 1;
   const DailyReport reference =
